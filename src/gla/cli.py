@@ -26,7 +26,7 @@ from .io_formats import (
     save_report,
     save_study_csv,
 )
-from .numerics import DEFAULT_LOG_FLOOR, LabelledLogits, log_prior
+from .numerics import DEFAULT_LOG_FLOOR, LabelledLogits, ProbabilitySimplex, log_prior
 from .prior_estimation import (
     build_transition_matrix,
     estimate_prior_m1,
@@ -40,8 +40,8 @@ EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 
-def _resolve_floor(flag_value: float | None, config: RunConfig | None) -> float:
-    """Flag wins over GLA_DEFAULT_FLOOR env var over config over built-in."""
+def _resolve_floor(flag_value: float | None) -> float:
+    """Flag wins over GLA_DEFAULT_FLOOR env var over built-in."""
     if flag_value is not None:
         if not flag_value > 0:
             raise ConfigError("--floor must be positive")
@@ -55,8 +55,6 @@ def _resolve_floor(flag_value: float | None, config: RunConfig | None) -> float:
         if not value > 0:
             raise ConfigError("GLA_DEFAULT_FLOOR must be positive")
         return value
-    if config is not None and config.floor is not None:
-        return config.floor
     return DEFAULT_LOG_FLOOR
 
 
@@ -66,21 +64,11 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _cmd_estimate(args) -> int:
     cfg = _load_config(args.config)
-    floor = _resolve_floor(args.floor, cfg)
     data = load_logits(args.logits)
     if args.method in ("m1", "m2") and not isinstance(data, LabelledLogits):
         raise InvalidInput(f"labels required for method {args.method}")
     if args.method == "m1":
-        m1_cfg = cfg.method1
-        if floor != m1_cfg.floor:
-            m1_cfg = type(m1_cfg)(
-                steps=m1_cfg.steps,
-                primal_lr=m1_cfg.primal_lr,
-                dual_lr=m1_cfg.dual_lr,
-                floor=floor,
-                surrogate=m1_cfg.surrogate,
-            )
-        prior = estimate_prior_m1(data, m1_cfg)
+        prior = estimate_prior_m1(data, cfg.method1)
     elif args.method == "m2":
         q, iters, residual = power_iterate(build_transition_matrix(data), cfg.power_iter)
         prior = q
@@ -102,7 +90,7 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    floor = _resolve_floor(args.floor, None)
+    floor = _resolve_floor(args.floor)
     ft = load_logits(args.ft)
     zs = load_logits(args.zs)
     labels = None
@@ -125,7 +113,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    floor = _resolve_floor(args.floor, None)
+    floor = _resolve_floor(args.floor)
     data = load_logits(args.logits)
     if not isinstance(data, LabelledLogits):
         raise InvalidInput("evaluation requires a fully labelled logit file")
@@ -175,8 +163,6 @@ def _cmd_simulate(args) -> int:
     if cfg.task is None:
         raise ConfigError("simulate requires a 'task' section in the config")
     task = make_task(cfg.task)
-    from .numerics import ProbabilitySimplex
-
     priors = {
         "balanced": ProbabilitySimplex.uniform(cfg.task.k),
         "pretrain": cfg.task.pretrain_prior,
@@ -202,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.add_argument("--seed", type=int)
-    p.add_argument("--floor", type=float)
     p.add_argument("--split", help="name of the split recorded in the prior file")
     p.set_defaults(func=_cmd_estimate)
 

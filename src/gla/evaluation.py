@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput, MissingClassError
+from .errors import DimensionError, GlaError, InvalidInput, MissingClassError
 from .numerics import LabelledLogits, LogitTable, argmax_rows, l1_distance
 from .prior_estimation import (
     BoundQuery,
@@ -52,13 +52,7 @@ class ConvergenceStudy:
 
 
 def _check_labels(logits: LogitTable, labels) -> np.ndarray:
-    lab = np.asarray(labels)
-    if lab.ndim != 1 or lab.shape[0] != logits.n_examples:
-        raise DimensionError("labels length must equal number of rows")
-    lab = lab.astype(np.int64)
-    if lab.min() < 0 or lab.max() >= logits.n_classes:
-        raise InvalidInput("labels must lie in [0, K)")
-    return lab
+    return LabelledLogits(logits, labels).labels
 
 
 def top1_error(logits: LogitTable, labels) -> float:
@@ -153,8 +147,9 @@ def run_convergence_study(
     function of the per-class shot count, alongside the theoretical bound.
 
     Each (N, trial) cell draws an independent balanced N-shot batch with
-    seed base_seed + trial; estimator failures are recorded as missing
-    trials rather than aborting the study.
+    seed base_seed + trial; estimator failures (a GlaError) are recorded as
+    missing trials rather than aborting the study, and any other exception
+    propagates.
     """
     shots = sorted(int(s) for s in shots)
     if not shots:
@@ -172,7 +167,7 @@ def run_convergence_study(
             batch = sample_shots(task, n, seed=base_seed + trial)
             try:
                 est = _estimate(estimator, batch.labelled_zs(), m1_cfg, m2_cfg)
-            except Exception:
+            except GlaError:
                 continue
             errors.append(l1_distance(est, truth))
         bound = m2_error_bound(BoundQuery(task_cfg.k, n, delta))

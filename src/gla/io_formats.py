@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, InvalidInput, ParseError
 from .evaluation import EvalReport
-from .numerics import LabelledLogits, LogitTable, ProbabilitySimplex
+from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex
 from .prior_estimation import Method1Config, PowerIterConfig
 from .synthlab import SyntheticTaskConfig
 
@@ -169,7 +169,10 @@ def load_prior(path: str) -> PriorDocument:
         raise ParseError(f"probs length {probs.size} != k {k}")
     if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-6:
         raise ParseError("probs is not a probability simplex (tolerance 1e-6)")
-    prior = ProbabilitySimplex(probs / probs.sum())
+    total = float(probs.sum())
+    # renormalize only what ProbabilitySimplex would reject, so that priors
+    # written by save_prior load back bit for bit
+    prior = ProbabilitySimplex(probs / total if abs(total - 1.0) > SIMPLEX_ATOL else probs)
     estimator = payload.get("estimator", "given")
     if estimator not in _PRIOR_ESTIMATORS:
         raise ParseError(f"unknown estimator {estimator!r}")
@@ -220,10 +223,9 @@ class RunConfig:
     method1: Method1Config = Method1Config()
     power_iter: PowerIterConfig = PowerIterConfig()
     study: StudyOptions = StudyOptions()
-    floor: float | None = None
 
 
-_TOP_KEYS = {"task", "method1", "power_iter", "study", "floor"}
+_TOP_KEYS = {"task", "method1", "power_iter", "study"}
 
 
 def _build_section(cls, payload: dict, section: str, transform=None):
@@ -269,11 +271,6 @@ def parse_run_config(payload: dict) -> RunConfig:
         kwargs["power_iter"] = _build_section(PowerIterConfig, payload["power_iter"], "power_iter")
     if "study" in payload:
         kwargs["study"] = _build_section(StudyOptions, payload["study"], "study")
-    if "floor" in payload:
-        floor = payload["floor"]
-        if not isinstance(floor, (int, float)) or not floor > 0:
-            raise ConfigError("floor must be a positive number")
-        kwargs["floor"] = float(floor)
     return RunConfig(**kwargs)
 
 

@@ -143,10 +143,15 @@ def softmax_row(v) -> ProbabilitySimplex:
 
 
 def log_prior(p: ProbabilitySimplex, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
-    """Elementwise log of a simplex, flooring entries so the result is finite."""
+    """Elementwise log of a simplex, flooring entries so the result is finite.
+
+    The floored vector is renormalized, so the result always exponentiates
+    to a simplex; argmax claims are unaffected by the constant shift.
+    """
     if not floor > 0.0:
         raise InvalidInput("floor must be positive")
-    return np.log(np.maximum(p.probs, floor))
+    floored = np.maximum(p.probs, floor)
+    return np.log(floored / floored.sum())
 
 
 def l1_distance(a: ProbabilitySimplex, b: ProbabilitySimplex) -> float:

@@ -2,8 +2,9 @@
 
 Three routes are provided:
 
-* a constrained primal-dual optimizer that minimizes the risk of the
-  adjusted zero-shot scorer over the simplex ("method 1"),
+* a damped Newton solve that minimizes the risk of the debiased zero-shot
+  scorer in log-prior space, where the problem is convex and unconstrained
+  ("method 1"),
 * the stationary distribution of the class-averaged prediction matrix,
   solved by power iteration ("method 2"),
 * the naive average of predicted probabilities, kept as a provably
@@ -21,12 +22,11 @@ import numpy as np
 
 from .errors import InvalidInput, MissingClassError, OptimizationError
 from .numerics import (
-    DEFAULT_LOG_FLOOR,
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
-    project_to_simplex,
     softmax_matrix,
+    softmax_row,
 )
 
 
@@ -70,22 +70,11 @@ class PowerIterConfig:
 
 
 @dataclass(frozen=True)
-class Method1Config:
-    steps: int = 2000
-    primal_lr: float = 0.1
-    dual_lr: float = 0.01
-    floor: float = DEFAULT_LOG_FLOOR
-    surrogate: str = "cross_entropy"
+class Method1Config(PowerIterConfig):
+    """Newton settings for method 1: tol bounds the l1 norm of the gradient."""
 
-    def __post_init__(self):
-        if self.steps < 1:
-            raise InvalidInput("steps must be >= 1")
-        if not (self.primal_lr > 0.0 and self.dual_lr > 0.0):
-            raise InvalidInput("learning rates must be positive")
-        if not self.floor > 0.0:
-            raise InvalidInput("floor must be positive")
-        if self.surrogate != "cross_entropy":
-            raise InvalidInput(f"unknown surrogate {self.surrogate!r}")
+    tol: float = 1e-10
+    max_iters: int = 50
 
 
 @dataclass(frozen=True)
@@ -151,47 +140,57 @@ def estimate_prior_m2(
 def estimate_prior_m1(
     validation: LabelledLogits, cfg: Method1Config = Method1Config()
 ) -> ProbabilitySimplex:
-    """Constrained-optimization estimate of the pre-training prior.
+    """Risk-minimization estimate of the pre-training prior.
 
-    Runs primal-dual gradient steps on the Lagrangian of the simplex-
-    constrained surrogate-risk problem: the primal variable is q itself,
-    the duals are one multiplier per nonnegativity constraint plus one for
-    the sum constraint.  The final iterate is projected to the simplex so
-    the output invariants hold exactly.
+    Minimizes the mean cross-entropy of the debiased scorer softmax(s - log q)
+    over u = -log q, where the risk mean[logsumexp(s_i + u) - s_iy - u_y] is
+    convex and unconstrained, and q = softmax(-u) is a simplex by construction.
+    Damped Newton steps with Armijo backtracking run from u = 0 (the uniform
+    prior) until the l1 gradient norm falls below tol or max_iters steps are
+    taken.  Non-convergence is not an exception.
     """
     k = validation.n_classes
-    for j in range(k):
-        if not np.any(validation.labels == j):
-            raise MissingClassError(j)
-
-    scores = validation.logits.scores
     labels = validation.labels
-    n = scores.shape[0]
-    onehot_mean = np.bincount(labels, minlength=k) / n
+    freq = np.bincount(labels, minlength=k) / labels.size
+    if np.any(freq == 0.0):
+        raise MissingClassError(int(np.flatnonzero(freq == 0.0)[0]))
+    scores = validation.logits.scores
+    rows = np.arange(labels.size)
 
-    # max-subtraction against the raw scores keeps every exp bounded
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    exp_scores = np.exp(shifted)
-    rows = np.arange(n)
+    def risk(u):
+        z = scores + u
+        top = z.max(axis=1, keepdims=True)
+        e = np.exp(z - top)
+        total = e.sum(axis=1, keepdims=True)
+        value = float(np.mean(np.log(total[:, 0]) + top[:, 0] - z[rows, labels]))
+        if not math.isfinite(value):
+            raise OptimizationError(f"non-finite risk {value!r} during optimization")
+        return value, e / total
 
-    q = np.full(k, 1.0 / k)
-    lam = np.zeros(k)
-    ups = 0.0
-    for _ in range(cfg.steps):
-        q_safe = np.maximum(q, cfg.floor)
-        # softmax(scores - log q) = (exp_scores / q) renormalized per row
-        weighted = exp_scores / q_safe
-        norms = weighted.sum(axis=1)
-        probs = weighted / norms[:, None]
-        # mean cross-entropy of the adjusted scorer against the labels
-        loss = float(-np.mean(np.log(np.maximum(probs[rows, labels], 1e-300))))
-        if not math.isfinite(loss):
-            raise OptimizationError(f"non-finite loss {loss!r} during optimization")
-        risk_grad = (onehot_mean - probs.mean(axis=0)) / q_safe
-        q = q - cfg.primal_lr * (risk_grad - lam - ups)
-        lam = np.maximum(0.0, lam - cfg.dual_lr * q)
-        ups = ups + cfg.dual_lr * (1.0 - float(q.sum()))
-    return project_to_simplex(q)
+    u = np.zeros(k)
+    value, probs = risk(u)
+    for _ in range(cfg.max_iters):
+        mean = probs.mean(axis=0)
+        grad = mean - freq
+        norm = float(np.abs(grad).sum())
+        if norm < cfg.tol:
+            break
+        # the 1/K term fixes the shift null-space; the norm^2 damping keeps the
+        # matrix nonsingular when some class is never predicted
+        hess = np.diag(mean + norm * norm) - probs.T @ probs / labels.size + 1.0 / k
+        step = np.linalg.solve(hess, grad)
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(40):
+            trial = u - t * step
+            trial_value, trial_probs = risk(trial)
+            if trial_value <= value - 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no decrease left at float precision
+        u, value, probs = trial, trial_value, trial_probs
+    return softmax_row(-u)
 
 
 def estimate_prior_naive(logits: LogitTable) -> ProbabilitySimplex:

@@ -13,7 +13,7 @@ from gla.ensemble import (
     naive_ensemble,
 )
 from gla.errors import DimensionError, InvalidInput
-from gla.numerics import LogitTable
+from gla.numerics import LogitTable, ProbabilitySimplex, log_prior
 
 
 def log_vec(*probs):
@@ -40,6 +40,14 @@ class TestAdjustmentSpec:
     def test_alpha_bounds(self):
         with pytest.raises(InvalidInput):
             MixSpec(1.5)
+
+    def test_accepts_floored_one_hot_prior(self):
+        one_hot = ProbabilitySimplex(np.eye(10)[3])
+        spec = AdjustmentSpec(
+            pi_s=log_prior(one_hot, 1e-6), pi_p=log_prior(ProbabilitySimplex.uniform(10), 1e-6)
+        )
+        assert abs(np.exp(spec.pi_s).sum() - 1.0) <= 1e-12
+        assert np.argmax(spec.pi_s) == 3
 
 
 class TestDebiasZeroShot:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gla.errors import DimensionError, MissingClassError
+import gla.evaluation
+from gla.errors import DimensionError, InvalidInput, MissingClassError, OptimizationError
 from gla.evaluation import (
     balanced_error,
     breakdown_groups,
@@ -45,6 +46,10 @@ class TestTop1Error:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             top1_error(LogitTable(np.zeros((2, 2))), [0])
+
+    def test_float_labels_rejected(self):
+        with pytest.raises(InvalidInput):
+            top1_error(LogitTable(np.zeros((2, 2))), [1.5, 0.2])
 
 
 class TestBalancedError:
@@ -151,6 +156,28 @@ class TestConvergenceStudy:
         # scalar lower bound 1/24; l1 doubles it for K=2
         for row in study.rows:
             assert row.mean_l1 > 2 * (1 / 24)
+
+    def test_domain_error_drops_trial(self, monkeypatch):
+        original = gla.evaluation.estimate_prior_m2
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OptimizationError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gla.evaluation, "estimate_prior_m2", flaky)
+        study = run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
+        assert study.rows[0].n_ok == 2
+
+    def test_other_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ZeroDivisionError("bug")
+
+        monkeypatch.setattr(gla.evaluation, "estimate_prior_m2", broken)
+        with pytest.raises(ZeroDivisionError):
+            run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
 
     def test_m2_slope(self):
         cfg = SyntheticTaskConfig(

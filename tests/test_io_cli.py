@@ -93,6 +93,14 @@ class TestPriorFiles:
         assert loaded.estimator == "m2"
         assert loaded.seed == 5
 
+    def test_round_trip_bit_exact(self, tmp_path):
+        rng = np.random.default_rng(23)
+        path = str(tmp_path / "p.json")
+        for _ in range(200):
+            prior = ProbabilitySimplex.from_weights(rng.dirichlet(np.ones(int(rng.integers(2, 12)))))
+            save_prior(path, PriorDocument(prior=prior))
+            assert np.array_equal(load_prior(path).prior.probs, prior.probs)
+
     def test_renormalizes_within_tolerance(self, tmp_path):
         path = write(
             tmp_path / "p.json",
@@ -118,17 +126,25 @@ class TestPriorFiles:
 class TestRunConfig:
     def test_defaults(self):
         cfg = parse_run_config({})
-        assert cfg.method1.steps == 2000
+        assert cfg.method1.tol == 1e-10
+        assert cfg.method1.max_iters == 50
         assert cfg.power_iter.tol == 1e-4
         assert cfg.power_iter.max_iters == 500
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="tolernace"):
             parse_run_config({"tolernace": 1e-4})
+        # the log floor is no longer a config key
+        with pytest.raises(ConfigError, match="'floor'"):
+            parse_run_config({"floor": 1e-8})
 
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="power_iter.tolerance"):
             parse_run_config({"power_iter": {"tolerance": 1e-4}})
+        # keys of the former primal-dual method-1 solver
+        for key in ("steps", "primal_lr", "dual_lr", "floor", "surrogate"):
+            with pytest.raises(ConfigError, match=f"method1.{key}"):
+                parse_run_config({"method1": {key: 1}})
 
     def test_task_section(self):
         cfg = parse_run_config(
@@ -190,6 +206,29 @@ class TestCliEstimate:
     def test_usage_error_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "bogus"]) == 2
 
+    def test_floor_flag_removed_exit_2(self, tmp_path):
+        logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
+        out = str(tmp_path / "p.json")
+        argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out]
+        assert main(argv + ["--floor", "1e-6"]) == 2
+
+    def test_old_config_keys_exit_2(self, tmp_path, capsys):
+        logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
+        out = str(tmp_path / "p.json")
+        for payload, key in (({"method1": {"steps": 5}}, "method1.steps"), ({"floor": 1e-6}, "floor")):
+            cfg = write(tmp_path / "cfg.json", json.dumps(payload))
+            argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out, "--config", cfg]
+            assert main(argv) == 2
+            assert f"unknown key '{key}'" in capsys.readouterr().err
+
+    def test_m1_config_section(self, tmp_path):
+        logits = make_fixture_csv(tmp_path, "l.csv", [[2.0, 0.0], [0.0, 1.0]], [0, 1])
+        out = str(tmp_path / "p.json")
+        cfg = write(tmp_path / "cfg.json", json.dumps({"method1": {"tol": 1e-8, "max_iters": 20}}))
+        argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out, "--config", cfg]
+        assert main(argv) == 0
+        assert load_prior(out).estimator == "m1"
+
 
 class TestCliEnsemble:
     def _priors(self, tmp_path):
@@ -246,6 +285,20 @@ class TestCliEnsemble:
         assert loaded.logits.scores[0] == pytest.approx(
             [1.0 - math.log(0.5), 2.0 - math.log(0.5)]
         )
+
+    def test_floored_one_hot_prior(self, tmp_path, monkeypatch):
+        ft = make_fixture_csv(tmp_path, "ft.csv", [np.arange(10.0)], [0])
+        zs = make_fixture_csv(tmp_path, "zs.csv", [np.zeros(10)], [0])
+        pp, ps = str(tmp_path / "pp.json"), str(tmp_path / "ps.json")
+        save_prior(pp, PriorDocument(prior=ProbabilitySimplex(np.eye(10)[0])))
+        save_prior(ps, PriorDocument(prior=ProbabilitySimplex.uniform(10)))
+        monkeypatch.setenv("GLA_DEFAULT_FLOOR", "1e-6")
+        out = str(tmp_path / "out.csv")
+        code = main(
+            ["ensemble", "--ft", ft, "--zs", zs, "--prior-p", pp, "--prior-s", ps, "--out", out]
+        )
+        assert code == 0
+        assert np.all(np.isfinite(load_logits(out).logits.scores))
 
     def test_label_disagreement(self, tmp_path, capsys):
         ft = make_fixture_csv(tmp_path, "ft.csv", [[1.0, 2.0]], [0])
@@ -362,19 +415,16 @@ class TestCliStudyAndSimulate:
 class TestFloorPrecedence:
     def test_resolution_order(self, monkeypatch):
         from gla.cli import _resolve_floor
-        from gla.io_formats import RunConfig
 
         monkeypatch.delenv("GLA_DEFAULT_FLOOR", raising=False)
-        assert _resolve_floor(None, None) == 1e-12
-        cfg = RunConfig(floor=1e-8)
-        assert _resolve_floor(None, cfg) == 1e-8
+        assert _resolve_floor(None) == 1e-12
         monkeypatch.setenv("GLA_DEFAULT_FLOOR", "1e-6")
-        assert _resolve_floor(None, cfg) == 1e-6
-        assert _resolve_floor(1e-4, cfg) == 1e-4
+        assert _resolve_floor(None) == 1e-6
+        assert _resolve_floor(1e-4) == 1e-4
 
     def test_bad_env_value(self, monkeypatch):
         from gla.cli import _resolve_floor
 
         monkeypatch.setenv("GLA_DEFAULT_FLOOR", "zero")
         with pytest.raises(ConfigError):
-            _resolve_floor(None, None)
+            _resolve_floor(None)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gla.errors import InvalidInput, MissingClassError
-from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex
+from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance
 from gla.prior_estimation import (
     BoundQuery,
     Method1Config,
@@ -146,7 +147,7 @@ class TestEstimatePriorM1:
     def test_single_step_returns_simplex(self):
         rng = np.random.default_rng(2)
         data = LabelledLogits(LogitTable(rng.normal(size=(10, 3))), rng.integers(0, 3, 10))
-        q = estimate_prior_m1(data, Method1Config(steps=1))
+        q = estimate_prior_m1(data, Method1Config(max_iters=1))
         assert np.all(q.probs >= 0)
         assert abs(q.probs.sum() - 1.0) <= 1e-9
 
@@ -171,6 +172,34 @@ class TestEstimatePriorM1:
             q = estimate_prior_m1(batch.labelled_zs())
             errs.append(abs(q.probs[0] - 2 / 3))
         assert np.mean(errs) <= 0.05
+
+    def test_matches_m2_for_many_classes(self):
+        for k, shots in ((8, 1000), (10, 1000), (20, 800)):
+            prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
+            cfg = SyntheticTaskConfig(k=k, dim=k, pretrain_prior=prior, seed=k)
+            data = sample_shots(make_task(cfg), shots, seed=100 + k).labelled_zs()
+            m1 = l1_distance(estimate_prior_m1(data), prior)
+            m2 = l1_distance(estimate_prior_m2(data), prior)
+            assert m1 <= m2 + 0.02, f"K={k}: m1 l1 {m1:.4f}, m2 l1 {m2:.4f}"
+
+    def test_degenerate_inputs_give_finite_simplex(self):
+        rng = np.random.default_rng(6)
+        labels = np.repeat(np.arange(3), 50)
+        never = rng.normal(size=(150, 3))
+        never[:, 2] = -1000.0  # class 2 is never predicted
+        always = rng.normal(size=(150, 3))
+        always[:, 0] += 50.0  # every row predicts class 0
+        for scores in (never, always):
+            q = estimate_prior_m1(LabelledLogits(LogitTable(scores), labels))
+            assert np.all(np.isfinite(q.probs))
+            assert abs(q.probs.sum() - 1.0) <= 1e-9
+
+    def test_config_shape(self):
+        assert [f.name for f in fields(Method1Config)] == ["tol", "max_iters"]
+        with pytest.raises(InvalidInput):
+            Method1Config(tol=0.0)
+        with pytest.raises(InvalidInput):
+            Method1Config(max_iters=0)
 
 
 class TestEstimatePriorNaive:
