@@ -12,7 +12,6 @@ from .numerics import (
 )
 from .prior_estimation import (
     BoundQuery,
-    Method1Config,
     PowerIterConfig,
     TransitionMatrix,
     build_transition_matrix,

@@ -68,7 +68,7 @@ def _cmd_estimate(args) -> int:
     if args.method in ("m1", "m2") and not isinstance(data, LabelledLogits):
         raise InvalidInput(f"labels required for method {args.method}")
     if args.method == "m1":
-        prior = estimate_prior_m1(data, cfg.method1)
+        prior = estimate_prior_m1(data)
     elif args.method == "m2":
         q, iters, residual = power_iterate(build_transition_matrix(data), cfg.power_iter)
         prior = q
@@ -149,7 +149,6 @@ def _cmd_study(args) -> int:
         cfg.study.trials,
         delta=cfg.study.delta,
         base_seed=cfg.study.base_seed,
-        m1_cfg=cfg.method1,
         m2_cfg=cfg.power_iter,
     )
     save_study_csv(args.out, study)

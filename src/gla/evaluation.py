@@ -12,7 +12,6 @@ from .errors import DimensionError, GlaError, InvalidInput, MissingClassError
 from .numerics import LabelledLogits, LogitTable, argmax_rows, l1_distance
 from .prior_estimation import (
     BoundQuery,
-    Method1Config,
     PowerIterConfig,
     estimate_prior_m1,
     estimate_prior_m2,
@@ -123,9 +122,9 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
     )
 
 
-def _estimate(estimator: str, data: LabelledLogits, m1_cfg: Method1Config, m2_cfg: PowerIterConfig):
+def _estimate(estimator: str, data: LabelledLogits, m2_cfg: PowerIterConfig):
     if estimator == "m1":
-        return estimate_prior_m1(data, m1_cfg)
+        return estimate_prior_m1(data)
     if estimator == "m2":
         return estimate_prior_m2(data, m2_cfg)
     if estimator == "naive":
@@ -140,7 +139,6 @@ def run_convergence_study(
     trials: int,
     delta: float = 0.05,
     base_seed: int = 0,
-    m1_cfg: Method1Config = Method1Config(),
     m2_cfg: PowerIterConfig = PowerIterConfig(),
 ) -> ConvergenceStudy:
     """Measure l1 estimation error against the true pre-training prior as a
@@ -166,7 +164,7 @@ def run_convergence_study(
         for trial in range(trials):
             batch = sample_shots(task, n, seed=base_seed + trial)
             try:
-                est = _estimate(estimator, batch.labelled_zs(), m1_cfg, m2_cfg)
+                est = _estimate(estimator, batch.labelled_zs(), m2_cfg)
             except GlaError:
                 continue
             errors.append(l1_distance(est, truth))

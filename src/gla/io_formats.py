@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, ParseError
 from .evaluation import EvalReport
 from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex
-from .prior_estimation import Method1Config, PowerIterConfig
+from .prior_estimation import PowerIterConfig
 from .synthlab import SyntheticTaskConfig
 
 _FLOAT_FMT = "%.17g"
@@ -220,12 +220,11 @@ class StudyOptions:
 @dataclass(frozen=True)
 class RunConfig:
     task: SyntheticTaskConfig | None = None
-    method1: Method1Config = Method1Config()
     power_iter: PowerIterConfig = PowerIterConfig()
     study: StudyOptions = StudyOptions()
 
 
-_TOP_KEYS = {"task", "method1", "power_iter", "study"}
+_TOP_KEYS = {"task", "power_iter", "study"}
 
 
 def _build_section(cls, payload: dict, section: str, transform=None):
@@ -265,8 +264,6 @@ def parse_run_config(payload: dict) -> RunConfig:
         kwargs["task"] = _build_section(
             SyntheticTaskConfig, payload["task"], "task", _task_transform
         )
-    if "method1" in payload:
-        kwargs["method1"] = _build_section(Method1Config, payload["method1"], "method1")
     if "power_iter" in payload:
         kwargs["power_iter"] = _build_section(PowerIterConfig, payload["power_iter"], "power_iter")
     if "study" in payload:

@@ -145,13 +145,17 @@ def softmax_row(v) -> ProbabilitySimplex:
 def log_prior(p: ProbabilitySimplex, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
     """Elementwise log of a simplex, flooring entries so the result is finite.
 
-    The floored vector is renormalized, so the result always exponentiates
-    to a simplex; argmax claims are unaffected by the constant shift.
+    When the floor raises an entry, the floored vector is renormalized, so
+    the result always exponentiates to a simplex; argmax claims are
+    unaffected by the constant shift.  Entries at or above the floor are
+    logged as they are.
     """
     if not floor > 0.0:
         raise InvalidInput("floor must be positive")
     floored = np.maximum(p.probs, floor)
-    return np.log(floored / floored.sum())
+    if np.any(p.probs < floor):
+        floored /= floored.sum()
+    return np.log(floored)
 
 
 def l1_distance(a: ProbabilitySimplex, b: ProbabilitySimplex) -> float:

@@ -2,9 +2,8 @@
 
 Three routes are provided:
 
-* a damped Newton solve that minimizes the risk of the debiased zero-shot
-  scorer in log-prior space, where the problem is convex and unconstrained
-  ("method 1"),
+* a minimization of the risk of the debiased zero-shot scorer in log-prior
+  space, where the problem is convex and unconstrained ("method 1"),
 * the stationary distribution of the class-averaged prediction matrix,
   solved by power iteration ("method 2"),
 * the naive average of predicted probabilities, kept as a provably
@@ -70,14 +69,6 @@ class PowerIterConfig:
 
 
 @dataclass(frozen=True)
-class Method1Config(PowerIterConfig):
-    """Newton settings for method 1: tol bounds the l1 norm of the gradient."""
-
-    tol: float = 1e-10
-    max_iters: int = 50
-
-
-@dataclass(frozen=True)
 class BoundQuery:
     k: int
     n_per_class: int
@@ -137,17 +128,25 @@ def estimate_prior_m2(
     return q
 
 
-def estimate_prior_m1(
-    validation: LabelledLogits, cfg: Method1Config = Method1Config()
-) -> ProbabilitySimplex:
+# Method 1 stops once the l1 norm of the risk gradient falls below M1_TOL,
+# or after M1_MAX_ITERS steps.
+M1_TOL = 1e-10
+M1_MAX_ITERS = 50
+
+
+def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     """Risk-minimization estimate of the pre-training prior.
 
     Minimizes the mean cross-entropy of the debiased scorer softmax(s - log q)
     over u = -log q, where the risk mean[logsumexp(s_i + u) - s_iy - u_y] is
     convex and unconstrained, and q = softmax(-u) is a simplex by construction.
-    Damped Newton steps with Armijo backtracking run from u = 0 (the uniform
-    prior) until the l1 gradient norm falls below tol or max_iters steps are
-    taken.  Non-convergence is not an exception.
+    From u = 0 (the uniform prior), each step line-searches two descent
+    directions and keeps the one that lowers the risk more: a damped Newton
+    step, which converges fast near the optimum, and the iterative-scaling
+    step log(mean prediction) - log(label frequency) of Saerens et al. (2002),
+    which crosses the flat region where a class is (almost) never predicted in
+    one move.  Stops when the l1 gradient norm falls below M1_TOL or after
+    M1_MAX_ITERS steps; non-convergence is not an exception.
     """
     k = validation.n_classes
     labels = validation.labels
@@ -158,38 +157,46 @@ def estimate_prior_m1(
     rows = np.arange(labels.size)
 
     def risk(u):
-        z = scores + u
-        top = z.max(axis=1, keepdims=True)
-        e = np.exp(z - top)
-        total = e.sum(axis=1, keepdims=True)
-        value = float(np.mean(np.log(total[:, 0]) + top[:, 0] - z[rows, labels]))
+        logp = scores + u
+        logp -= logp.max(axis=1, keepdims=True)
+        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+        value = float(-np.mean(logp[rows, labels]))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
-        return value, e / total
+        return value, logp
+
+    def search(u, value, grad, direction):
+        """Armijo backtracking along -direction; None if nothing decreases."""
+        slope = float(grad @ direction)
+        t = 1.0
+        for _ in range(40):
+            trial = u - t * direction
+            trial_value, trial_logp = risk(trial)
+            if trial_value <= value - 1e-4 * t * slope:
+                return trial_value, trial, trial_logp
+            t *= 0.5
+        return None
 
     u = np.zeros(k)
-    value, probs = risk(u)
-    for _ in range(cfg.max_iters):
+    value, logp = risk(u)
+    for _ in range(M1_MAX_ITERS):
+        probs = np.exp(logp)
         mean = probs.mean(axis=0)
         grad = mean - freq
         norm = float(np.abs(grad).sum())
-        if norm < cfg.tol:
+        if norm < M1_TOL:
             break
         # the 1/K term fixes the shift null-space; the norm^2 damping keeps the
         # matrix nonsingular when some class is never predicted
         hess = np.diag(mean + norm * norm) - probs.T @ probs / labels.size + 1.0 / k
-        step = np.linalg.solve(hess, grad)
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(40):
-            trial = u - t * step
-            trial_value, trial_probs = risk(trial)
-            if trial_value <= value - 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
+        newton = np.linalg.solve(hess, grad)
+        # log of the mean prediction, without underflow for unpredicted classes
+        top = logp.max(axis=0)
+        scaling = top + np.log(np.exp(logp - top).mean(axis=0)) - np.log(freq)
+        found = [r for r in (search(u, value, grad, d) for d in (newton, scaling)) if r]
+        if not found:
             break  # no decrease left at float precision
-        u, value, probs = trial, trial_value, trial_probs
+        value, u, logp = min(found, key=lambda r: r[0])
     return softmax_row(-u)
 
 

@@ -126,8 +126,6 @@ class TestPriorFiles:
 class TestRunConfig:
     def test_defaults(self):
         cfg = parse_run_config({})
-        assert cfg.method1.tol == 1e-10
-        assert cfg.method1.max_iters == 50
         assert cfg.power_iter.tol == 1e-4
         assert cfg.power_iter.max_iters == 500
 
@@ -137,14 +135,14 @@ class TestRunConfig:
         # the log floor is no longer a config key
         with pytest.raises(ConfigError, match="'floor'"):
             parse_run_config({"floor": 1e-8})
+        # method 1 has no settable values, so no config section
+        for section in ({"steps": 5}, {"tol": 1e-8}):
+            with pytest.raises(ConfigError, match="'method1'"):
+                parse_run_config({"method1": section})
 
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="power_iter.tolerance"):
             parse_run_config({"power_iter": {"tolerance": 1e-4}})
-        # keys of the former primal-dual method-1 solver
-        for key in ("steps", "primal_lr", "dual_lr", "floor", "surrogate"):
-            with pytest.raises(ConfigError, match=f"method1.{key}"):
-                parse_run_config({"method1": {key: 1}})
 
     def test_task_section(self):
         cfg = parse_run_config(
@@ -215,19 +213,11 @@ class TestCliEstimate:
     def test_old_config_keys_exit_2(self, tmp_path, capsys):
         logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
         out = str(tmp_path / "p.json")
-        for payload, key in (({"method1": {"steps": 5}}, "method1.steps"), ({"floor": 1e-6}, "floor")):
+        for payload, key in (({"method1": {"steps": 5}}, "method1"), ({"floor": 1e-6}, "floor")):
             cfg = write(tmp_path / "cfg.json", json.dumps(payload))
             argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out, "--config", cfg]
             assert main(argv) == 2
             assert f"unknown key '{key}'" in capsys.readouterr().err
-
-    def test_m1_config_section(self, tmp_path):
-        logits = make_fixture_csv(tmp_path, "l.csv", [[2.0, 0.0], [0.0, 1.0]], [0, 1])
-        out = str(tmp_path / "p.json")
-        cfg = write(tmp_path / "cfg.json", json.dumps({"method1": {"tol": 1e-8, "max_iters": 20}}))
-        argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out, "--config", cfg]
-        assert main(argv) == 0
-        assert load_prior(out).estimator == "m1"
 
 
 class TestCliEnsemble:

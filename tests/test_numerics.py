@@ -126,6 +126,12 @@ class TestLogPrior:
         with pytest.raises(InvalidInput):
             log_prior(ProbabilitySimplex([0.5, 0.5]), floor=0.0)
 
+    def test_unfloored_entries_logged_as_is(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            p = ProbabilitySimplex.from_weights(rng.random(7) + 0.01)
+            assert np.array_equal(log_prior(p), np.log(p.probs))
+
 
 class TestL1Distance:
     def test_identity(self):

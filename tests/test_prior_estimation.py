@@ -1,14 +1,13 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from gla.errors import InvalidInput, MissingClassError
 from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance
+from gla import prior_estimation
 from gla.prior_estimation import (
     BoundQuery,
-    Method1Config,
     PowerIterConfig,
     TransitionMatrix,
     build_transition_matrix,
@@ -144,10 +143,11 @@ class TestEstimatePriorM2:
 
 
 class TestEstimatePriorM1:
-    def test_single_step_returns_simplex(self):
+    def test_single_step_returns_simplex(self, monkeypatch):
+        monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 1)
         rng = np.random.default_rng(2)
         data = LabelledLogits(LogitTable(rng.normal(size=(10, 3))), rng.integers(0, 3, 10))
-        q = estimate_prior_m1(data, Method1Config(max_iters=1))
+        q = estimate_prior_m1(data)
         assert np.all(q.probs >= 0)
         assert abs(q.probs.sum() - 1.0) <= 1e-9
 
@@ -187,19 +187,26 @@ class TestEstimatePriorM1:
         labels = np.repeat(np.arange(3), 50)
         never = rng.normal(size=(150, 3))
         never[:, 2] = -1000.0  # class 2 is never predicted
+        rare = rng.normal(size=(150, 3))
+        rare[:, 2] = -30.0  # class 2 is predicted with probability ~1e-13
         always = rng.normal(size=(150, 3))
         always[:, 0] += 50.0  # every row predicts class 0
-        for scores in (never, always):
-            q = estimate_prior_m1(LabelledLogits(LogitTable(scores), labels))
+        fits = {}
+        for name, scores in (("never", never), ("rare", rare), ("always", always)):
+            data = LabelledLogits(LogitTable(scores), labels)
+            q = estimate_prior_m1(data)
             assert np.all(np.isfinite(q.probs))
             assert abs(q.probs.sum() - 1.0) <= 1e-9
-
-    def test_config_shape(self):
-        assert [f.name for f in fields(Method1Config)] == ["tol", "max_iters"]
-        with pytest.raises(InvalidInput):
-            Method1Config(tol=0.0)
-        with pytest.raises(InvalidInput):
-            Method1Config(max_iters=0)
+            fits[name] = data, q
+        # the optimum needs q_2 ~ e^-1000, which underflows
+        assert fits["never"][1].probs[2] == 0.0
+        for name in ("rare", "always"):
+            data, q = fits[name]
+            debiased = data.logits.scores - np.log(q.probs)
+            mean = np.exp(debiased - debiased.max(axis=1, keepdims=True))
+            mean = (mean / mean.sum(axis=1, keepdims=True)).mean(axis=0)
+            grad = mean - np.bincount(data.labels, minlength=3) / data.n_examples
+            assert np.abs(grad).sum() <= 1e-8, name
 
 
 class TestEstimatePriorNaive:
