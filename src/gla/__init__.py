@@ -12,7 +12,6 @@ from .numerics import (
 )
 from .prior_estimation import (
     BoundQuery,
-    PowerIterConfig,
     TransitionMatrix,
     build_transition_matrix,
     estimate_prior_m1,

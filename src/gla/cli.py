@@ -17,7 +17,6 @@ from .errors import ConfigError, GlaError, InvalidInput
 from .evaluation import breakdown_report, run_convergence_study
 from .io_formats import (
     PriorDocument,
-    RunConfig,
     load_logits,
     load_prior,
     load_run_config,
@@ -58,21 +57,15 @@ def _resolve_floor(flag_value: float | None) -> float:
     return DEFAULT_LOG_FLOOR
 
 
-def _load_config(path: str | None) -> RunConfig:
-    return load_run_config(path) if path else RunConfig()
-
-
 def _cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
     data = load_logits(args.logits)
     if args.method in ("m1", "m2") and not isinstance(data, LabelledLogits):
         raise InvalidInput(f"labels required for method {args.method}")
     if args.method == "m1":
         prior = estimate_prior_m1(data)
     elif args.method == "m2":
-        q, iters, residual = power_iterate(build_transition_matrix(data), cfg.power_iter)
-        prior = q
-        print(f"power iteration: {iters} iterations, residual {residual:.3e}")
+        prior, _, residual = power_iterate(build_transition_matrix(data))
+        print(f"stationary solve: residual {residual:.3e}")
     else:
         table = data.logits if isinstance(data, LabelledLogits) else data
         prior = estimate_prior_naive(table)
@@ -149,7 +142,6 @@ def _cmd_study(args) -> int:
         cfg.study.trials,
         delta=cfg.study.delta,
         base_seed=cfg.study.base_seed,
-        m2_cfg=cfg.power_iter,
     )
     save_study_csv(args.out, study)
     for row in study.rows:
@@ -185,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--logits", required=True)
     p.add_argument("--method", required=True, choices=["m1", "m2", "naive"])
     p.add_argument("--out", required=True)
-    p.add_argument("--config")
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="name of the split recorded in the prior file")
     p.set_defaults(func=_cmd_estimate)

@@ -25,6 +25,11 @@ class OptimizationError(GlaError):
     """The prior optimizer produced a non-finite loss."""
 
 
+class IdentifiabilityError(GlaError):
+    """The transition matrix has no unique stationary distribution, so the
+    prior it should identify is not determined."""
+
+
 class ParseError(GlaError):
     """A data file is malformed."""
 

@@ -12,7 +12,6 @@ from .errors import DimensionError, GlaError, InvalidInput, MissingClassError
 from .numerics import LabelledLogits, LogitTable, argmax_rows, l1_distance
 from .prior_estimation import (
     BoundQuery,
-    PowerIterConfig,
     estimate_prior_m1,
     estimate_prior_m2,
     estimate_prior_naive,
@@ -63,8 +62,10 @@ def top1_error(logits: LogitTable, labels) -> float:
 
 def per_class_accuracy(logits: LogitTable, labels) -> np.ndarray:
     lab = _check_labels(logits, labels)
-    preds = argmax_rows(logits.scores)
-    k = logits.n_classes
+    return _per_class_accuracy(argmax_rows(logits.scores), lab, logits.n_classes)
+
+
+def _per_class_accuracy(preds: np.ndarray, lab: np.ndarray, k: int) -> np.ndarray:
     acc = np.empty(k)
     for c in range(k):
         mask = lab == c
@@ -103,9 +104,9 @@ def breakdown_groups(pi_p, k: int) -> dict:
 def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = None) -> EvalReport:
     """Full evaluation report with head/medium/tail accuracies."""
     lab = _check_labels(logits, labels)
-    acc = per_class_accuracy(logits, lab)
-    groups = breakdown_groups(pi_p, logits.n_classes)
     preds = argmax_rows(logits.scores)
+    acc = _per_class_accuracy(preds, lab, logits.n_classes)
+    groups = breakdown_groups(pi_p, logits.n_classes)
     breakdown = {}
     for name, classes in groups.items():
         mask = np.isin(lab, classes)
@@ -113,7 +114,7 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
     meta = dict(metadata or {})
     meta.setdefault("groups", {name: classes for name, classes in groups.items()})
     return EvalReport(
-        top1_accuracy=1.0 - top1_error(logits, lab),
+        top1_accuracy=1.0 - float(np.mean(preds != lab)),
         balanced_accuracy=float(acc.mean()),
         per_class_accuracy=acc,
         breakdown=breakdown,
@@ -122,11 +123,11 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
     )
 
 
-def _estimate(estimator: str, data: LabelledLogits, m2_cfg: PowerIterConfig):
+def _estimate(estimator: str, data: LabelledLogits):
     if estimator == "m1":
         return estimate_prior_m1(data)
     if estimator == "m2":
-        return estimate_prior_m2(data, m2_cfg)
+        return estimate_prior_m2(data)
     if estimator == "naive":
         return estimate_prior_naive(data.logits)
     raise InvalidInput(f"unknown estimator {estimator!r}")
@@ -139,7 +140,6 @@ def run_convergence_study(
     trials: int,
     delta: float = 0.05,
     base_seed: int = 0,
-    m2_cfg: PowerIterConfig = PowerIterConfig(),
 ) -> ConvergenceStudy:
     """Measure l1 estimation error against the true pre-training prior as a
     function of the per-class shot count, alongside the theoretical bound.
@@ -164,7 +164,7 @@ def run_convergence_study(
         for trial in range(trials):
             batch = sample_shots(task, n, seed=base_seed + trial)
             try:
-                est = _estimate(estimator, batch.labelled_zs(), m2_cfg)
+                est = _estimate(estimator, batch.labelled_zs())
             except GlaError:
                 continue
             errors.append(l1_distance(est, truth))

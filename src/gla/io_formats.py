@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, ParseError
 from .evaluation import EvalReport
 from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex
-from .prior_estimation import PowerIterConfig
 from .synthlab import SyntheticTaskConfig
 
 _FLOAT_FMT = "%.17g"
@@ -204,7 +203,7 @@ def save_report(path: str, report: EvalReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration (JSON), mirroring the solver/task/study config types.
+# Run configuration (JSON), mirroring the task and study config types.
 # Unknown keys are rejected with the offending key named.
 # ---------------------------------------------------------------------------
 
@@ -220,11 +219,10 @@ class StudyOptions:
 @dataclass(frozen=True)
 class RunConfig:
     task: SyntheticTaskConfig | None = None
-    power_iter: PowerIterConfig = PowerIterConfig()
     study: StudyOptions = StudyOptions()
 
 
-_TOP_KEYS = {"task", "power_iter", "study"}
+_TOP_KEYS = {"task", "study"}
 
 
 def _build_section(cls, payload: dict, section: str, transform=None):
@@ -264,8 +262,6 @@ def parse_run_config(payload: dict) -> RunConfig:
         kwargs["task"] = _build_section(
             SyntheticTaskConfig, payload["task"], "task", _task_transform
         )
-    if "power_iter" in payload:
-        kwargs["power_iter"] = _build_section(PowerIterConfig, payload["power_iter"], "power_iter")
     if "study" in payload:
         kwargs["study"] = _build_section(StudyOptions, payload["study"], "study")
     return RunConfig(**kwargs)

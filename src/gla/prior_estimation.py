@@ -5,7 +5,7 @@ Three routes are provided:
 * a minimization of the risk of the debiased zero-shot scorer in log-prior
   space, where the problem is convex and unconstrained ("method 1"),
 * the stationary distribution of the class-averaged prediction matrix,
-  solved by power iteration ("method 2"),
+  solved exactly by one linear solve ("method 2"),
 * the naive average of predicted probabilities, kept as a provably
   biased baseline.
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput, MissingClassError, OptimizationError
+from .errors import IdentifiabilityError, InvalidInput, MissingClassError, OptimizationError
 from .numerics import (
     LabelledLogits,
     LogitTable,
@@ -27,7 +27,6 @@ from .numerics import (
     softmax_matrix,
     softmax_row,
 )
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:
@@ -54,18 +53,6 @@ class TransitionMatrix:
     @property
     def k(self) -> int:
         return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
-class PowerIterConfig:
-    tol: float = 1e-4
-    max_iters: int = 500
-
-    def __post_init__(self):
-        if not self.tol > 0.0:
-            raise InvalidInput("tol must be positive")
-        if self.max_iters < 1:
-            raise InvalidInput("max_iters must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -96,35 +83,49 @@ def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
     return TransitionMatrix(cols)
 
 
-def power_iterate(
-    p: TransitionMatrix, cfg: PowerIterConfig = PowerIterConfig()
-) -> tuple[ProbabilitySimplex, int, float]:
-    """Iterate q <- P q from uniform until the l1 step falls below tol.
+def power_iterate(p: TransitionMatrix) -> tuple[ProbabilitySimplex, int, float]:
+    """Stationary distribution of P, computed exactly by one linear solve.
 
-    Returns the final simplex, the number of multiplications performed, and
-    the fixed-point residual ||P q - q||_1.  Non-convergence shows up as a
-    residual above tol, never as an exception.
+    Because P is column-stochastic, the solution of (I - P + 11^T) q = 1 is
+    the stationary vector with sum(q) = 1.  The solve inverts I - P + 11^T,
+    whose 1-norm condition number then bounds the error of q.  If uniform is
+    already stationary (P = I, say) it is returned as is.  Returns the
+    simplex, the number of solves (1) and the fixed-point residual
+    ||P q - q||_1.  The name and the tuple are kept for callers that wrap
+    this function by name or unpack its result, such as the benchmark's
+    tracing.
+
+    Raises IdentifiabilityError when P has no unique stationary vector (a
+    block-diagonal P, say): the system is then singular to working precision,
+    or its solution has an entry that is negative beyond rounding.  A sign
+    check alone is not enough: on a singular system the solve can also land
+    on a nonnegative mix of the blocks' stationary vectors.
     """
     mat = p.entries
     q = np.full(p.k, 1.0 / p.k)
-    iters = 0
-    for _ in range(cfg.max_iters):
-        nxt = mat @ q
-        nxt = nxt / nxt.sum()
-        iters += 1
-        step = float(np.abs(nxt - q).sum())
-        q = nxt
-        if step < cfg.tol:
-            break
-    residual = float(np.abs(mat @ q - q).sum())
-    return ProbabilitySimplex(np.maximum(q, 0.0) / np.maximum(q, 0.0).sum()), iters, residual
+    if np.array_equal(mat @ q, q):
+        return ProbabilitySimplex(q), 1, 0.0
+    system = np.eye(p.k) - mat + 1.0
+    try:
+        inverse = np.linalg.inv(system)
+    except np.linalg.LinAlgError:
+        raise IdentifiabilityError("transition matrix has no unique stationary vector") from None
+    q = inverse.sum(axis=1)
+    # relative forward-error bound of the solve: kappa_1(system) * machine epsilon
+    cond = np.abs(system).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
+    error = cond * np.finfo(np.float64).eps
+    if not error < 1.0 or q.min() < -error * q.max():
+        raise IdentifiabilityError(
+            f"transition matrix has no unique stationary vector (error bound {error:.3g})"
+        )
+    q = np.maximum(q, 0.0)
+    q = q / q.sum()
+    return ProbabilitySimplex(q), 1, float(np.abs(mat @ q - q).sum())
 
 
-def estimate_prior_m2(
-    data: LabelledLogits, cfg: PowerIterConfig = PowerIterConfig()
-) -> ProbabilitySimplex:
+def estimate_prior_m2(data: LabelledLogits) -> ProbabilitySimplex:
     """Stationary-distribution estimate of the pre-training prior."""
-    q, _, _ = power_iterate(build_transition_matrix(data), cfg)
+    q, _, _ = power_iterate(build_transition_matrix(data))
     return q
 
 

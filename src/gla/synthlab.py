@@ -135,10 +135,8 @@ def _batch_from_features(
     return SyntheticBatch(LogitTable(zs), LogitTable(ft), labels)
 
 
-def sample_batch(
-    task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int
-) -> SyntheticBatch:
-    """Draw n examples with labels from `prior` and fixed class-conditionals."""
+def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
+    """Draw n labels from `prior` on the seed's label stream."""
     if n < 1:
         raise InvalidInput("n must be >= 1")
     if prior.k != task.cfg.k:
@@ -146,7 +144,14 @@ def sample_batch(
     if seed < 0:
         raise InvalidInput("seed must be nonnegative")
     rng_labels = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_STREAM]))
-    labels = rng_labels.choice(task.cfg.k, size=n, p=prior.probs).astype(np.int64)
+    return rng_labels.choice(task.cfg.k, size=n, p=prior.probs).astype(np.int64)
+
+
+def sample_batch(
+    task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int
+) -> SyntheticBatch:
+    """Draw n examples with labels from `prior` and fixed class-conditionals."""
+    labels = _sample_labels(task, prior, n, seed)
     x1, x2 = _sample_features(task, labels, seed)
     return _batch_from_features(task, x1, x2, labels)
 
@@ -162,6 +167,17 @@ def sample_shots(task: SyntheticTask, n_per_class: int, seed: int) -> SyntheticB
     return _batch_from_features(task, x1, x2, labels)
 
 
+def _monte_carlo_risk(
+    task: SyntheticTask, eval_prior: ProbabilitySimplex, views, n_mc: int, seed: int
+) -> float:
+    """Monte-Carlo risk of the exact Bayes classifier that sees `views`."""
+    labels = _sample_labels(task, eval_prior, n_mc, seed)
+    xs = _sample_features(task, labels, seed)
+    scores = sum(class_log_likelihoods(task, xs[view - 1], view=view) for view in views)
+    preds = np.argmax(scores + log_prior(eval_prior), axis=1)
+    return float(np.mean(preds != labels))
+
+
 def bayes_risk(
     task: SyntheticTask, eval_prior: ProbabilitySimplex, n_mc: int = 100_000, seed: int = 0
 ) -> float:
@@ -169,18 +185,7 @@ def bayes_risk(
 
     This is the floor any implemented ensemble is compared against.
     """
-    if n_mc < 1:
-        raise InvalidInput("n_mc must be >= 1")
-    rng_labels = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_STREAM]))
-    labels = rng_labels.choice(task.cfg.k, size=n_mc, p=eval_prior.probs).astype(np.int64)
-    x1, x2 = _sample_features(task, labels, seed)
-    scores = (
-        class_log_likelihoods(task, x1, view=1)
-        + class_log_likelihoods(task, x2, view=2)
-        + log_prior(eval_prior)
-    )
-    preds = np.argmax(scores, axis=1)
-    return float(np.mean(preds != labels))
+    return _monte_carlo_risk(task, eval_prior, (1, 2), n_mc, seed)
 
 
 def single_view_bayes_risk(
@@ -193,13 +198,7 @@ def single_view_bayes_risk(
     """Monte-Carlo risk of the Bayes classifier that sees only one view."""
     if view not in (1, 2):
         raise InvalidInput("view must be 1 or 2")
-    rng_labels = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_STREAM]))
-    labels = rng_labels.choice(task.cfg.k, size=n_mc, p=eval_prior.probs).astype(np.int64)
-    x1, x2 = _sample_features(task, labels, seed)
-    x = x1 if view == 1 else x2
-    scores = class_log_likelihoods(task, x, view=view) + log_prior(eval_prior)
-    preds = np.argmax(scores, axis=1)
-    return float(np.mean(preds != labels))
+    return _monte_carlo_risk(task, eval_prior, (view,), n_mc, seed)
 
 
 def binary_naive_bias(p11: float, p12: float) -> dict:

@@ -28,7 +28,6 @@ from gla.ensemble import (
 from gla.evaluation import loglog_slope, run_convergence_study, top1_error
 from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, log_prior
 from gla.prior_estimation import (
-    PowerIterConfig,
     TransitionMatrix,
     build_transition_matrix,
     estimate_prior_m1,
@@ -82,17 +81,16 @@ def dominance_tasks():
 
 
 def test_criterion_1_power_iteration_oracle():
-    """Power iteration matches a direct fixed-point solve on 100 random
+    """power_iterate matches a direct fixed-point solve on 100 random
     column-stochastic matrices, l1 <= 1e-6, under 5 s."""
     start = time.time()
     rng = np.random.default_rng(7)
-    cfg = PowerIterConfig(tol=1e-13, max_iters=200_000)
     worst = 0.0
     count = 0
     for k in (2, 3, 4, 8):
         for _ in range(25):
             p = TransitionMatrix(rng.dirichlet(np.ones(k), size=k).T)
-            q, _, _ = power_iterate(p, cfg)
+            q, _, _ = power_iterate(p)
             if k == 2:
                 # analytic fixed point for K=2
                 q1 = p.entries[0, 1] / (1.0 - p.entries[0, 0] + p.entries[0, 1])

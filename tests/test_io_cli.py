@@ -126,8 +126,9 @@ class TestPriorFiles:
 class TestRunConfig:
     def test_defaults(self):
         cfg = parse_run_config({})
-        assert cfg.power_iter.tol == 1e-4
-        assert cfg.power_iter.max_iters == 500
+        assert cfg.task is None
+        assert cfg.study.shots == [25, 100, 400, 1600]
+        assert cfg.study.trials == 5
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="tolernace"):
@@ -139,10 +140,14 @@ class TestRunConfig:
         for section in ({"steps": 5}, {"tol": 1e-8}):
             with pytest.raises(ConfigError, match="'method1'"):
                 parse_run_config({"method1": section})
+        # nor does method 2
+        for section in ({}, {"tol": 1e-4}, {"max_iters": 500}):
+            with pytest.raises(ConfigError, match="'power_iter'"):
+                parse_run_config({"power_iter": section})
 
     def test_unknown_nested_key(self):
-        with pytest.raises(ConfigError, match="power_iter.tolerance"):
-            parse_run_config({"power_iter": {"tolerance": 1e-4}})
+        with pytest.raises(ConfigError, match="study.tolerance"):
+            parse_run_config({"study": {"tolerance": 1e-4}})
 
     def test_task_section(self):
         cfg = parse_run_config(
@@ -201,6 +206,17 @@ class TestCliEstimate:
         assert code == 1
         assert "class 2" in capsys.readouterr().err
 
+    def test_m2_reducible_exit_1(self, tmp_path, capsys):
+        # classes {0, 1} and {2, 3} never predict each other: P is block-diagonal
+        rows = np.full((4, 4), -1000.0)
+        rows[:2, :2] = [[0.0, -1.0], [-2.0, 0.0]]
+        rows[2:, 2:] = [[0.0, -3.0], [-1.0, 0.0]]
+        logits = make_fixture_csv(tmp_path, "l.csv", rows, [0, 1, 2, 3])
+        out = str(tmp_path / "p.json")
+        code = main(["estimate", "--logits", logits, "--method", "m2", "--out", out])
+        assert code == 1
+        assert "no unique stationary vector" in capsys.readouterr().err
+
     def test_usage_error_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "bogus"]) == 2
 
@@ -210,12 +226,22 @@ class TestCliEstimate:
         argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out]
         assert main(argv + ["--floor", "1e-6"]) == 2
 
-    def test_old_config_keys_exit_2(self, tmp_path, capsys):
+    def test_config_flag_removed_exit_2(self, tmp_path):
         logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
         out = str(tmp_path / "p.json")
-        for payload, key in (({"method1": {"steps": 5}}, "method1"), ({"floor": 1e-6}, "floor")):
+        argv = ["estimate", "--logits", logits, "--method", "m2", "--out", out]
+        assert main(argv + ["--config", "x"]) == 2
+
+    def test_old_config_keys_exit_2(self, tmp_path, capsys):
+        # estimate takes no config, so the keys go through the study's config
+        out = str(tmp_path / "s.csv")
+        for payload, key in (
+            ({"method1": {"steps": 5}}, "method1"),
+            ({"floor": 1e-6}, "floor"),
+            ({"power_iter": {"tol": 1e-4}}, "power_iter"),
+        ):
             cfg = write(tmp_path / "cfg.json", json.dumps(payload))
-            argv = ["estimate", "--logits", logits, "--method", "m1", "--out", out, "--config", cfg]
+            argv = ["study", "--config", cfg, "--estimator", "m2", "--out", out]
             assert main(argv) == 2
             assert f"unknown key '{key}'" in capsys.readouterr().err
 

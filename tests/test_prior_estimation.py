@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gla.errors import InvalidInput, MissingClassError
+from gla.errors import IdentifiabilityError, InvalidInput, MissingClassError
 from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance
 from gla import prior_estimation
 from gla.prior_estimation import (
     BoundQuery,
-    PowerIterConfig,
     TransitionMatrix,
     build_transition_matrix,
     estimate_prior_m1,
@@ -74,10 +73,11 @@ def analytic_stationary_2x2(p: TransitionMatrix) -> np.ndarray:
 
 class TestPowerIterate:
     def test_identity_returns_uniform(self):
-        q, iters, residual = power_iterate(TransitionMatrix(np.eye(2)))
-        assert np.allclose(q.probs, 0.5)
-        assert iters == 1
-        assert residual == 0.0
+        for k in (2, 3, 20):
+            q, iters, residual = power_iterate(TransitionMatrix(np.eye(k)))
+            assert np.allclose(q.probs, 1.0 / k)
+            assert iters == 1
+            assert residual == 0.0
 
     def test_rank_one(self):
         p = TransitionMatrix([[0.6, 0.6], [0.4, 0.4]])
@@ -87,32 +87,77 @@ class TestPowerIterate:
 
     def test_analytic_two_by_two(self):
         p = TransitionMatrix([[0.7, 0.4], [0.3, 0.6]])
-        q, _, _ = power_iterate(p, PowerIterConfig(tol=1e-10, max_iters=10_000))
+        q, _, _ = power_iterate(p)
         assert np.allclose(q.probs, [4 / 7, 3 / 7], atol=1e-4)
         assert np.allclose(q.probs, analytic_stationary_2x2(p), atol=1e-8)
 
     def test_residual_below_tol_when_converged(self):
         rng = np.random.default_rng(11)
-        cfg = PowerIterConfig(tol=1e-8, max_iters=5000)
+        tol, max_iters = 1e-8, 5000
         for _ in range(20):
             k = int(rng.integers(2, 6))
             p = TransitionMatrix(rng.dirichlet(np.ones(k), size=k).T)
-            q, iters, residual = power_iterate(p, cfg)
-            if iters < cfg.max_iters:
-                assert residual <= cfg.tol
+            q, iters, residual = power_iterate(p)
+            if iters < max_iters:
+                assert residual <= tol
 
     def test_matches_dense_eigensolve(self):
         rng = np.random.default_rng(3)
-        cfg = PowerIterConfig(tol=1e-12, max_iters=100_000)
         for k in (2, 3, 4, 8):
             for _ in range(10):
                 p = TransitionMatrix(rng.dirichlet(np.ones(k), size=k).T)
-                q, _, _ = power_iterate(p, cfg)
+                q, _, _ = power_iterate(p)
                 w, v = np.linalg.eig(p.entries)
                 lead = np.argmin(np.abs(w - 1.0))
                 target = np.real(v[:, lead])
                 target = target / target.sum()
                 assert np.abs(q.probs - target).sum() < 1e-6
+
+    def test_exact_without_configuration(self):
+        # criterion 1's matrices, then K=50: the solve is exact to rounding
+        rng = np.random.default_rng(7)
+        for k in (2, 3, 4, 8, 50):
+            for _ in range(25):
+                p = TransitionMatrix(rng.dirichlet(np.ones(k), size=k).T)
+                q, iters, residual = power_iterate(p)
+                assert np.abs(q.probs - eigenvector_oracle(p)).sum() <= 1e-12
+                assert iters == 1
+                assert residual <= 1e-12
+
+    def test_slowly_mixing_batch_is_exact(self):
+        # lambda_2 = 0.989: power iteration stopped 7e-3 (l1) short of this
+        k = 10
+        cfg = SyntheticTaskConfig(
+            k=k,
+            dim=k,
+            mean_separation=6.0,
+            pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)),
+            seed=0,
+        )
+        p = build_transition_matrix(sample_shots(make_task(cfg), 2000, seed=1).labelled_zs())
+        q, _, residual = power_iterate(p)
+        assert residual <= 1e-12
+        assert np.abs(q.probs - eigenvector_oracle(p)).sum() <= 1e-10
+
+    def test_block_diagonal_raises_named_error(self):
+        # two closed blocks: every mix of their stationary vectors is
+        # stationary, and a bare solve may return any of them, or a vector
+        # with negative entries
+        for k in (4, 7, 20):
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                split = int(rng.integers(1, k))
+                entries = np.zeros((k, k))
+                entries[:split, :split] = rng.dirichlet(np.ones(split), size=split).T
+                entries[split:, split:] = rng.dirichlet(np.ones(k - split), size=k - split).T
+                with pytest.raises(IdentifiabilityError, match="no unique stationary"):
+                    power_iterate(TransitionMatrix(entries))
+
+
+def eigenvector_oracle(p: TransitionMatrix) -> np.ndarray:
+    w, v = np.linalg.eig(p.entries)
+    vec = np.real(v[:, np.argmin(np.abs(w - 1.0))])
+    return vec / vec.sum()
 
 
 class TestEstimatePriorM2:
@@ -127,7 +172,7 @@ class TestEstimatePriorM2:
         eps = 1e-9
         rows = [[1 - eps, eps]] * 4
         data = LabelledLogits(logits_for_probs(rows), [0, 1, 0, 1])
-        q = estimate_prior_m2(data, PowerIterConfig(tol=1e-10, max_iters=5000))
+        q = estimate_prior_m2(data)
         assert q.probs[0] > 1.0 - 1e-6
 
     def test_recovers_synthetic_prior(self):

@@ -150,6 +150,24 @@ class TestBayesRisk:
             task, u, view=1, n_mc=100_000, seed=25
         )
 
+    @pytest.mark.parametrize("risk", [bayes_risk, single_view_bayes_risk])
+    def test_rejects_wrong_prior_length(self, risk):
+        task = make_task(SyntheticTaskConfig(k=2, seed=26))
+        with pytest.raises(InvalidInput, match="prior length"):
+            risk(task, ProbabilitySimplex.uniform(3), n_mc=100, seed=27)
+
+    @pytest.mark.parametrize("risk", [bayes_risk, single_view_bayes_risk])
+    def test_rejects_negative_seed(self, risk):
+        task = make_task(SyntheticTaskConfig(k=2, seed=26))
+        with pytest.raises(InvalidInput, match="seed"):
+            risk(task, ProbabilitySimplex.uniform(2), n_mc=100, seed=-1)
+
+    @pytest.mark.parametrize("risk", [bayes_risk, single_view_bayes_risk])
+    def test_rejects_empty_sample(self, risk):
+        task = make_task(SyntheticTaskConfig(k=2, seed=26))
+        with pytest.raises(InvalidInput):
+            risk(task, ProbabilitySimplex.uniform(2), n_mc=0, seed=27)
+
 
 class TestBinaryNaiveBias:
     def test_worked_point(self):
