@@ -25,7 +25,7 @@ from .io_formats import (
     save_report,
     save_study_csv,
 )
-from .numerics import DEFAULT_LOG_FLOOR, LabelledLogits, ProbabilitySimplex, log_prior
+from .numerics import LOG_FLOOR, LabelledLogits, ProbabilitySimplex, log_prior
 from .prior_estimation import (
     build_transition_matrix,
     estimate_prior_m1,
@@ -37,24 +37,6 @@ from .synthlab import make_task, sample_batch
 EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_USAGE = 2
-
-
-def _resolve_floor(flag_value: float | None) -> float:
-    """Flag wins over GLA_DEFAULT_FLOOR env var over built-in."""
-    if flag_value is not None:
-        if not flag_value > 0:
-            raise ConfigError("--floor must be positive")
-        return flag_value
-    env = os.environ.get("GLA_DEFAULT_FLOOR")
-    if env is not None:
-        try:
-            value = float(env)
-        except ValueError:
-            raise ConfigError(f"GLA_DEFAULT_FLOOR is not a number: {env!r}") from None
-        if not value > 0:
-            raise ConfigError("GLA_DEFAULT_FLOOR must be positive")
-        return value
-    return DEFAULT_LOG_FLOOR
 
 
 def _cmd_estimate(args) -> int:
@@ -83,7 +65,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
-    floor = _resolve_floor(args.floor)
     ft = load_logits(args.ft)
     zs = load_logits(args.zs)
     labels = None
@@ -93,9 +74,9 @@ def _cmd_ensemble(args) -> int:
         labels = ft.labels
     ft_table = ft.logits if isinstance(ft, LabelledLogits) else ft
     zs_table = zs.logits if isinstance(zs, LabelledLogits) else zs
-    pi_p = log_prior(load_prior(args.prior_p).prior, floor)
-    pi_s = log_prior(load_prior(args.prior_s).prior, floor)
-    pi_t = log_prior(load_prior(args.prior_t).prior, floor) if args.prior_t else None
+    pi_p = log_prior(load_prior(args.prior_p).prior)
+    pi_s = log_prior(load_prior(args.prior_s).prior)
+    pi_t = log_prior(load_prior(args.prior_t).prior) if args.prior_t else None
     adj = ens.AdjustmentSpec(pi_s=pi_s, pi_p=pi_p, pi_t=pi_t)
     if args.alpha is not None:
         combined = ens.alpha_mix(ft_table, zs_table, adj, ens.MixSpec(args.alpha))
@@ -106,14 +87,13 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    floor = _resolve_floor(args.floor)
     data = load_logits(args.logits)
     if not isinstance(data, LabelledLogits):
         raise InvalidInput("evaluation requires a fully labelled logit file")
     metadata = {"split": os.path.basename(args.logits)}
     if args.prior_p:
         doc = load_prior(args.prior_p)
-        pi_p = log_prior(doc.prior, floor)
+        pi_p = log_prior(doc.prior)
         metadata["breakdown_prior"] = f"{doc.estimator}:{args.prior_p}"
     else:
         pi_p = np.full(data.n_classes, -np.log(data.n_classes))
@@ -140,7 +120,6 @@ def _cmd_study(args) -> int:
         args.estimator,
         cfg.study.shots,
         cfg.study.trials,
-        delta=cfg.study.delta,
         base_seed=cfg.study.base_seed,
     )
     save_study_csv(args.out, study)
@@ -189,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-t")
     p.add_argument("--alpha", type=float)
     p.add_argument("--out", required=True)
-    p.add_argument("--floor", type=float)
     p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("evaluate", help="score a labelled logit file")
@@ -197,7 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-p")
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--report", required=True)
-    p.add_argument("--floor", type=float)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("study", help="run an estimation-convergence study")
@@ -227,6 +204,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if "GLA_DEFAULT_FLOOR" in os.environ:
+            raise ConfigError(f"GLA_DEFAULT_FLOOR is set, but the log floor is fixed at {LOG_FLOOR:g}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

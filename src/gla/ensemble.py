@@ -34,17 +34,14 @@ class AdjustmentSpec:
     is immaterial under softmax shift-invariance, so it is simply omitted.
     """
 
-    pi_s: np.ndarray | None = None
-    pi_p: np.ndarray | None = None
+    pi_s: np.ndarray
+    pi_p: np.ndarray
     pi_t: np.ndarray | None = None
 
     def __post_init__(self):
         lengths = set()
-        for name in ("pi_s", "pi_p", "pi_t"):
-            vec = getattr(self, name)
-            if vec is None:
-                continue
-            arr = _as_log_prior(vec, name)
+        for name in ("pi_s", "pi_p") if self.pi_t is None else ("pi_s", "pi_p", "pi_t"):
+            arr = _as_log_prior(getattr(self, name), name)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
             lengths.add(arr.size)
@@ -90,8 +87,6 @@ def logit_adjust(ft: LogitTable, pi_s) -> LogitTable:
 def gla_combine(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec) -> LogitTable:
     """Ensemble the two debiased scorers: ft + zs - pi_s - pi_p (+ pi_t)."""
     _check_pair(ft, zs)
-    if adj.pi_s is None or adj.pi_p is None:
-        raise InvalidInput("gla_combine requires both pi_s and pi_p")
     pi_s = _check_vector(ft, adj.pi_s, "pi_s")
     pi_p = _check_vector(zs, adj.pi_p, "pi_p")
     out = ft.scores + zs.scores - pi_s - pi_p
@@ -112,8 +107,6 @@ def alpha_mix(
     """Convex mix of the two debiased scorers for the ablation sweep:
     (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s)."""
     _check_pair(ft, zs)
-    if adj.pi_s is None or adj.pi_p is None:
-        raise InvalidInput("alpha_mix requires both pi_s and pi_p")
     pi_s = _check_vector(ft, adj.pi_s, "pi_s")
     pi_p = _check_vector(zs, adj.pi_p, "pi_p")
     a = mix.alpha

@@ -49,9 +49,7 @@ def save_logits(path: str, table: LogitTable, labels=None) -> None:
     k = table.n_classes
     lines = ["label," + ",".join(f"c{i}" for i in range(k))]
     if labels is not None:
-        labels = np.asarray(labels)
-        if labels.shape[0] != table.n_examples:
-            raise InvalidInput("labels length must equal number of rows")
+        labels = LabelledLogits(table, labels).labels
     for r in range(table.n_examples):
         lab = "" if labels is None else str(int(labels[r]))
         row = ",".join(format_float(x) for x in table.scores[r])
@@ -148,6 +146,12 @@ def save_prior(path: str, doc: PriorDocument) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def _as_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_prior(path: str) -> PriorDocument:
     try:
         with open(path) as fh:
@@ -160,7 +164,7 @@ def load_prior(path: str) -> PriorDocument:
     if unknown:
         raise ParseError(f"unknown key {sorted(unknown)[0]!r}")
     try:
-        k = int(payload["k"])
+        k = _as_int(payload["k"], "k")
         probs = np.asarray([float(x) for x in payload["probs"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad prior document: {exc}") from None
@@ -180,7 +184,7 @@ def load_prior(path: str) -> PriorDocument:
         prior=prior,
         estimator=estimator,
         source_split=str(payload.get("source_split", "")),
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _as_int(seed, "seed"),
         created_at=str(payload.get("created_at", "")),
     )
 
@@ -212,7 +216,6 @@ def save_report(path: str, report: EvalReport) -> None:
 class StudyOptions:
     shots: list = field(default_factory=lambda: [25, 100, 400, 1600])
     trials: int = 5
-    delta: float = 0.05
     base_seed: int = 0
 
 

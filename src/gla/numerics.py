@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionError, InvalidInput
 
-DEFAULT_LOG_FLOOR = 1e-12
+LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
 
 
@@ -142,18 +142,17 @@ def softmax_row(v) -> ProbabilitySimplex:
     return ProbabilitySimplex(softmax_matrix(arr[None, :])[0])
 
 
-def log_prior(p: ProbabilitySimplex, floor: float = DEFAULT_LOG_FLOOR) -> np.ndarray:
-    """Elementwise log of a simplex, flooring entries so the result is finite.
+def log_prior(p: ProbabilitySimplex) -> np.ndarray:
+    """Elementwise log of a simplex, flooring entries at LOG_FLOOR so the
+    result is finite.
 
     When the floor raises an entry, the floored vector is renormalized, so
     the result always exponentiates to a simplex; argmax claims are
     unaffected by the constant shift.  Entries at or above the floor are
     logged as they are.
     """
-    if not floor > 0.0:
-        raise InvalidInput("floor must be positive")
-    floored = np.maximum(p.probs, floor)
-    if np.any(p.probs < floor):
+    floored = np.maximum(p.probs, LOG_FLOOR)
+    if np.any(p.probs < LOG_FLOOR):
         floored /= floored.sum()
     return np.log(floored)
 

@@ -1,8 +1,9 @@
 """Synthetic label-shift laboratory.
 
 Tasks are two-view Gaussian mixtures with analytically known priors.
-Class-conditionals are spherical Gaussians with closed-form log-densities,
-so the synthetic "model" logits are exact Bayes log-posteriors: the
+Class-conditionals are unit-variance spherical Gaussians (a noise scale σ
+would only rescale mean_separation to mean_separation / σ) with closed-form
+log-densities, so the synthetic "model" logits are exact Bayes log-posteriors: the
 zero-shot view embeds the pre-training prior additively and the fine-tuned
 view embeds the source prior, which is exactly the structural bias the
 estimators must recover.  The two views draw independent noise given the
@@ -31,7 +32,6 @@ class SyntheticTaskConfig:
     k: int = 2
     dim: int = 2
     mean_separation: float = 2.0
-    noise_sigma: float = 1.0
     pretrain_prior: ProbabilitySimplex | None = None
     source_prior: ProbabilitySimplex | None = None
     seed: int = 0
@@ -45,8 +45,6 @@ class SyntheticTaskConfig:
             raise InvalidInput("k must be >= 2")
         if self.dim < 1:
             raise InvalidInput("dim must be >= 1")
-        if not self.noise_sigma > 0.0:
-            raise InvalidInput("noise_sigma must be positive")
         if not self.mean_separation >= 0.0:
             raise InvalidInput("mean_separation must be nonnegative")
         if self.pretrain_prior.k != self.k or self.source_prior.k != self.k:
@@ -70,9 +68,6 @@ class SyntheticBatch:
 
     def labelled_zs(self) -> LabelledLogits:
         return LabelledLogits(self.zs_logits, self.labels)
-
-    def labelled_ft(self) -> LabelledLogits:
-        return LabelledLogits(self.ft_logits, self.labels)
 
 
 def _class_means(k: int, dim: int, separation: float, rng: np.random.Generator) -> np.ndarray:
@@ -101,7 +96,7 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     """Exact Gaussian log-densities, one column per class, up to a constant."""
     means = task.means_view1 if view == 1 else task.means_view2
     diff = x[:, None, :] - means[None, :, :]
-    return -np.sum(diff * diff, axis=2) / (2.0 * task.cfg.noise_sigma**2)
+    return -np.sum(diff * diff, axis=2) / 2.0
 
 
 def _sample_features(
@@ -122,7 +117,7 @@ def _sample_features(
                 continue
             rng_c = np.random.default_rng(np.random.SeedSequence([seed, stream, c]))
             noise = rng_c.standard_normal((idx.size, cfg.dim))
-            x[idx] = means[c] + cfg.noise_sigma * noise
+            x[idx] = means[c] + noise
         xs.append(x)
     return xs[0], xs[1]
 

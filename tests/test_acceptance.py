@@ -69,7 +69,6 @@ def dominance_tasks():
             k=k,
             dim=k,
             mean_separation=2.0,
-            noise_sigma=1.0,
             pretrain_prior=ProbabilitySimplex.from_weights(rng.uniform(0.5, 3.0, k)),
             source_prior=ProbabilitySimplex.from_weights(rng.uniform(0.5, 3.0, k)),
             seed=1000 + i,

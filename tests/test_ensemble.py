@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gla.ensemble import (
     AdjustmentSpec,
@@ -31,7 +34,7 @@ def rng_tables():
 class TestAdjustmentSpec:
     def test_rejects_non_simplex_exponential(self):
         with pytest.raises(InvalidInput):
-            AdjustmentSpec(pi_s=np.array([0.0, 0.0]))
+            AdjustmentSpec(pi_s=np.array([0.0, 0.0]), pi_p=log_vec(0.5, 0.5))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DimensionError):
@@ -44,10 +47,32 @@ class TestAdjustmentSpec:
     def test_accepts_floored_one_hot_prior(self):
         one_hot = ProbabilitySimplex(np.eye(10)[3])
         spec = AdjustmentSpec(
-            pi_s=log_prior(one_hot, 1e-6), pi_p=log_prior(ProbabilitySimplex.uniform(10), 1e-6)
+            pi_s=log_prior(one_hot), pi_p=log_prior(ProbabilitySimplex.uniform(10))
         )
         assert abs(np.exp(spec.pi_s).sum() - 1.0) <= 1e-12
         assert np.argmax(spec.pi_s) == 3
+
+
+@st.composite
+def priors_with_zeros(draw):
+    """A K-class prior, K in [2, 1000], with any entries zero or subnormal."""
+    k = draw(st.integers(2, 1000))
+    weights = draw(arrays(np.float64, k, elements=st.floats(0.0, 1.0)))
+    weights[draw(st.integers(0, k - 1))] = 1.0  # some mass somewhere
+    return ProbabilitySimplex.from_weights(weights)
+
+
+class TestFixedFloor:
+    @settings(max_examples=60, deadline=None)
+    @given(p=priors_with_zeros(), seed=st.integers(0, 2**32 - 1))
+    def test_any_prior_gives_finite_logits(self, p, seed):
+        lp = log_prior(p)
+        assert np.all(np.isfinite(lp))
+        assert abs(float(np.exp(lp).sum()) - 1.0) <= 1e-12
+        spec = AdjustmentSpec(pi_s=lp, pi_p=lp[::-1])
+        rng = np.random.default_rng(seed)
+        ft, zs = (LogitTable(rng.normal(size=(3, p.k))) for _ in range(2))
+        assert np.all(np.isfinite(gla_combine(ft, zs, spec).scores))
 
 
 class TestDebiasZeroShot:
@@ -140,10 +165,14 @@ class TestGlaCombine:
         base = gla_combine(ft, zs, AdjustmentSpec(pi_s=pi, pi_p=pi))
         assert np.allclose(out.scores, base.scores + pi_t)
 
-    def test_requires_both_priors(self, rng_tables):
-        ft, zs = rng_tables
+    def test_requires_both_priors(self):
+        u = np.full(4, math.log(0.25))
+        with pytest.raises(TypeError):
+            AdjustmentSpec(pi_s=u)
+        with pytest.raises(TypeError):
+            AdjustmentSpec(pi_p=u)
         with pytest.raises(InvalidInput):
-            gla_combine(ft, zs, AdjustmentSpec(pi_s=np.full(4, math.log(0.25))))
+            AdjustmentSpec(pi_s=None, pi_p=u)
 
 
 class TestNaiveEnsemble:

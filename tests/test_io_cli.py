@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gla.cli import main
-from gla.errors import ConfigError, ParseError
+from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.io_formats import (
     PriorDocument,
     load_logits,
@@ -72,6 +72,14 @@ class TestLogitFiles:
         loaded = load_logits(p)
         assert loaded.logits.scores[0, 0] == 1000.0
 
+    def test_save_rejects_bad_labels(self, tmp_path):
+        table = LogitTable(np.zeros((2, 3)))
+        path = tmp_path / "t.csv"
+        for labels in ([1.5, 0.2], [-1, 0], [0, 7]):
+            with pytest.raises(InvalidInput):
+                save_logits(str(path), table, labels)
+            assert not path.exists()
+
     def test_bad_header(self, tmp_path):
         p = write(tmp_path / "t.csv", "c0,c1,c2\n0,1,2\n")
         with pytest.raises(ParseError, match="line 1"):
@@ -114,6 +122,12 @@ class TestPriorFiles:
         with pytest.raises(ParseError):
             load_prior(path)
 
+    def test_rejects_non_integer_k_and_seed(self, tmp_path):
+        for fields in ({"k": 2.9}, {"k": "2"}, {"k": 2, "seed": 1.5}, {"k": 2, "seed": True}):
+            path = write(tmp_path / "p.json", json.dumps({"probs": [0.5, 0.5], **fields}))
+            with pytest.raises(ParseError):
+                load_prior(path)
+
     def test_rejects_unknown_key(self, tmp_path):
         path = write(
             tmp_path / "p.json",
@@ -148,6 +162,11 @@ class TestRunConfig:
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="study.tolerance"):
             parse_run_config({"study": {"tolerance": 1e-4}})
+        # the study's delta and the lab's noise scale are constants
+        with pytest.raises(ConfigError, match="'study.delta'"):
+            parse_run_config({"study": {"delta": 0.05}})
+        with pytest.raises(ConfigError, match="'task.noise_sigma'"):
+            parse_run_config({"task": {"k": 2, "noise_sigma": 1.0}})
 
     def test_task_section(self):
         cfg = parse_run_config(
@@ -239,6 +258,8 @@ class TestCliEstimate:
             ({"method1": {"steps": 5}}, "method1"),
             ({"floor": 1e-6}, "floor"),
             ({"power_iter": {"tol": 1e-4}}, "power_iter"),
+            ({"task": {"k": 2}, "study": {"delta": 0.1}}, "study.delta"),
+            ({"task": {"k": 2, "noise_sigma": 2.0}}, "task.noise_sigma"),
         ):
             cfg = write(tmp_path / "cfg.json", json.dumps(payload))
             argv = ["study", "--config", cfg, "--estimator", "m2", "--out", out]
@@ -302,19 +323,28 @@ class TestCliEnsemble:
             [1.0 - math.log(0.5), 2.0 - math.log(0.5)]
         )
 
-    def test_floored_one_hot_prior(self, tmp_path, monkeypatch):
+    def test_floored_one_hot_prior(self, tmp_path):
         ft = make_fixture_csv(tmp_path, "ft.csv", [np.arange(10.0)], [0])
         zs = make_fixture_csv(tmp_path, "zs.csv", [np.zeros(10)], [0])
         pp, ps = str(tmp_path / "pp.json"), str(tmp_path / "ps.json")
         save_prior(pp, PriorDocument(prior=ProbabilitySimplex(np.eye(10)[0])))
         save_prior(ps, PriorDocument(prior=ProbabilitySimplex.uniform(10)))
-        monkeypatch.setenv("GLA_DEFAULT_FLOOR", "1e-6")
         out = str(tmp_path / "out.csv")
         code = main(
             ["ensemble", "--ft", ft, "--zs", zs, "--prior-p", pp, "--prior-s", ps, "--out", out]
         )
         assert code == 0
         assert np.all(np.isfinite(load_logits(out).logits.scores))
+
+    def test_floor_flag_removed_exit_2(self, tmp_path, capsys):
+        ft = make_fixture_csv(tmp_path, "ft.csv", [[1.0, 2.0]], [0])
+        zs = make_fixture_csv(tmp_path, "zs.csv", [[0.5, 0.5]], [0])
+        pp, ps = self._priors(tmp_path)
+        out = str(tmp_path / "out.csv")
+        argv = ["ensemble", "--ft", ft, "--zs", zs, "--prior-p", pp, "--prior-s", ps, "--out", out]
+        assert main(argv + ["--floor", "1e-6"]) == 2
+        assert "--floor" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_label_disagreement(self, tmp_path, capsys):
         ft = make_fixture_csv(tmp_path, "ft.csv", [[1.0, 2.0]], [0])
@@ -383,6 +413,13 @@ class TestCliEvaluate:
             "tail": [4, 5],
         }
 
+    def test_floor_flag_removed_exit_2(self, tmp_path, capsys):
+        logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+        report = str(tmp_path / "r.json")
+        assert main(["evaluate", "--logits", logits, "--report", report, "--floor", "1e-6"]) == 2
+        assert "--floor" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     def test_unlabelled_exit_1(self, tmp_path):
         path = write(tmp_path / "l.csv", "label,c0,c1\n,1,2\n")
         code = main(["evaluate", "--logits", path, "--report", str(tmp_path / "r.json")])
@@ -429,18 +466,13 @@ class TestCliStudyAndSimulate:
 
 
 class TestFloorPrecedence:
-    def test_resolution_order(self, monkeypatch):
-        from gla.cli import _resolve_floor
-
-        monkeypatch.delenv("GLA_DEFAULT_FLOOR", raising=False)
-        assert _resolve_floor(None) == 1e-12
-        monkeypatch.setenv("GLA_DEFAULT_FLOOR", "1e-6")
-        assert _resolve_floor(None) == 1e-6
-        assert _resolve_floor(1e-4) == 1e-4
-
-    def test_bad_env_value(self, monkeypatch):
-        from gla.cli import _resolve_floor
-
-        monkeypatch.setenv("GLA_DEFAULT_FLOOR", "zero")
-        with pytest.raises(ConfigError):
-            _resolve_floor(None)
+    def test_bad_env_value(self, tmp_path, monkeypatch, capsys):
+        # the floor is fixed, so a set GLA_DEFAULT_FLOOR is an error, not ignored
+        logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+        report = str(tmp_path / "r.json")
+        for value in ("zero", "1e-6", "1e-12"):
+            monkeypatch.setenv("GLA_DEFAULT_FLOOR", value)
+            assert main(["evaluate", "--logits", logits, "--report", report]) == 2
+            assert "GLA_DEFAULT_FLOOR" in capsys.readouterr().err
+        monkeypatch.delenv("GLA_DEFAULT_FLOOR")
+        assert main(["evaluate", "--logits", logits, "--report", report]) == 0

@@ -118,13 +118,9 @@ class TestLogPrior:
         assert out == pytest.approx([-0.22314, -1.60944], abs=1e-5)
 
     def test_floor_keeps_finite(self):
-        out = log_prior(ProbabilitySimplex([1.0, 0.0]), floor=1e-12)
+        out = log_prior(ProbabilitySimplex([1.0, 0.0]))
         assert out == pytest.approx([0.0, -27.631], abs=1e-3)
         assert np.all(np.isfinite(out))
-
-    def test_rejects_bad_floor(self):
-        with pytest.raises(InvalidInput):
-            log_prior(ProbabilitySimplex([0.5, 0.5]), floor=0.0)
 
     def test_unfloored_entries_logged_as_is(self):
         rng = np.random.default_rng(8)
