@@ -6,9 +6,9 @@ are exact for float64.  All writes are atomic (temp file + rename).
 
 from __future__ import annotations
 
-import csv
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields
@@ -47,13 +47,10 @@ def atomic_write_text(path: str, text: str) -> None:
 
 def save_logits(path: str, table: LogitTable, labels=None) -> None:
     k = table.n_classes
+    labs = [""] * table.n_examples if labels is None else LabelledLogits(table, labels).labels.tolist()
+    row_fmt = "%s," + ",".join([_FLOAT_FMT] * k)
     lines = ["label," + ",".join(f"c{i}" for i in range(k))]
-    if labels is not None:
-        labels = LabelledLogits(table, labels).labels
-    for r in range(table.n_examples):
-        lab = "" if labels is None else str(int(labels[r]))
-        row = ",".join(format_float(x) for x in table.scores[r])
-        lines.append(f"{lab},{row}")
+    lines += [row_fmt % (lab, *row.tolist()) for lab, row in zip(labs, table.scores)]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -61,45 +58,37 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
     """Parse a logit CSV.  A fully labelled file yields LabelledLogits; any
     empty-label row degrades the whole file to an unlabelled LogitTable
     (with a warning)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty file", line=1) from None
-        if len(header) < 3 or header[0] != "label":
-            raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
-        k = len(header) - 1
-        expected = ["label"] + [f"c{i}" for i in range(k)]
-        if header != expected:
-            raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
-        scores = []
-        labels: list[int | None] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != k + 1:
-                raise ParseError(f"expected {k + 1} fields, got {len(row)}", line=lineno)
-            if row[0] == "":
-                labels.append(None)
-            else:
-                try:
-                    lab = int(row[0])
-                except ValueError:
-                    raise ParseError(f"bad label {row[0]!r}", line=lineno) from None
-                if not 0 <= lab < k:
-                    raise ParseError(f"label {lab} out of range [0, {k})", line=lineno)
-                labels.append(lab)
-            try:
-                scores.append([float(x) for x in row[1:]])
-            except ValueError:
-                raise ParseError("bad numeric field", line=lineno) from None
-    if not scores:
+    with open(path) as fh:
+        header, *rows = fh.readlines() or [""]
+    k = header.count(",")
+    if k < 2 or header.rstrip("\n") != ",".join(["label"] + [f"c{i}" for i in range(k)]):
+        raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
+    if not rows:
         raise ParseError("no data rows", line=2)
-    table = LogitTable(np.asarray(scores))
-    if any(lab is None for lab in labels):
-        if any(lab is not None for lab in labels):
+    for lineno, row in enumerate(rows, start=2):
+        if row.count(",") != k:
+            raise ParseError(f"expected {k + 1} fields, got {row.count(',') + 1}", line=lineno)
+    try:
+        # encoding=None: by default numpy < 2 hands converters bytes
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, encoding=None,
+                          converters={0: lambda s: float(int(s)) if s else np.nan})
+    except ValueError as exc:
+        where = re.search(r"at row (\d+), column (\d+)", str(exc))
+        if where is None:
+            raise ParseError(f"bad field: {exc}") from None
+        r = int(where[1])
+        what = f"bad label {rows[r].split(',', 1)[0]!r}" if where[2] == "1" else "bad numeric field"
+        raise ParseError(what, line=r + 2) from None
+    labels, table = data[:, 0], LogitTable(data[:, 1:])
+    bad = np.flatnonzero((labels < 0) | (labels >= k))
+    if bad.size:
+        raise ParseError(f"label {int(labels[bad[0]])} out of range [0, {k})", line=int(bad[0]) + 2)
+    unlabelled = np.isnan(labels)
+    if unlabelled.any():
+        if not unlabelled.all():
             warnings.warn(f"{path}: some rows are unlabelled; discarding all labels")
         return table
-    return LabelledLogits(table, np.asarray(labels, dtype=np.int64))
+    return LabelledLogits(table, labels.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,10 @@ def load_prior(path: str) -> PriorDocument:
         raise ParseError(f"unknown key {sorted(unknown)[0]!r}")
     try:
         k = _as_int(payload["k"], "k")
-        probs = np.asarray([float(x) for x in payload["probs"]])
+        probs = payload["probs"]
+        if not isinstance(probs, list) or any(isinstance(x, bool) for x in probs):
+            raise ParseError(f"probs must be a list of numbers, got {probs!r}")
+        probs = np.asarray([float(x) for x in probs])
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad prior document: {exc}") from None
     if probs.size != k:
@@ -226,6 +218,7 @@ class RunConfig:
 
 
 _TOP_KEYS = {"task", "study"}
+_INT_KEYS = {"k", "dim", "seed", "trials", "base_seed"}
 
 
 def _build_section(cls, payload: dict, section: str, transform=None):
@@ -235,12 +228,18 @@ def _build_section(cls, payload: dict, section: str, transform=None):
     unknown = set(payload) - allowed
     if unknown:
         raise ConfigError(f"unknown key {section + '.' + sorted(unknown)[0]!r}")
+    shots = payload.get("shots", [])
+    if not isinstance(shots, list):
+        raise ConfigError(f"{section}.shots must be a list of integers, got {shots!r}")
+    ints = [(key, payload[key]) for key in sorted(_INT_KEYS & payload.keys())]
     kwargs = dict(payload)
     if transform:
         kwargs = transform(kwargs)
     try:
+        for key, value in ints + [(f"shots[{i}]", n) for i, n in enumerate(shots)]:
+            _as_int(value, f"{section}.{key}")
         return cls(**kwargs)
-    except (InvalidInput, TypeError) as exc:
+    except (InvalidInput, ParseError, TypeError) as exc:
         raise ConfigError(f"bad section {section!r}: {exc}") from None
 
 

@@ -85,6 +85,57 @@ class TestLogitFiles:
         with pytest.raises(ParseError, match="line 1"):
             load_logits(p)
 
+    def test_golden_bytes(self, tmp_path):
+        table = LogitTable(np.array([[-0.0, 5e-324, 1e300], [0.1, 1.0, -2.5]]))
+        path = tmp_path / "t.csv"
+        save_logits(str(path), table, [2, 0])
+        assert path.read_bytes() == (
+            b"label,c0,c1,c2\n"
+            b"2,-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+            b"0,0.10000000000000001,1,-2.5\n"
+        )
+        save_logits(str(path), table)
+        assert path.read_bytes() == (
+            b"label,c0,c1,c2\n"
+            b",-0,4.9406564584124654e-324,1.0000000000000001e+300\n"
+            b",0.10000000000000001,1,-2.5\n"
+        )
+        loaded = load_logits(str(path))
+        assert np.array_equal(loaded.scores, table.scores)
+        assert np.signbit(loaded.scores[0, 0])
+
+    @pytest.mark.parametrize(
+        "body, line, what",
+        [
+            ("0,1,2\n1.5,3,4\n", 3, "bad label '1.5'"),
+            ("0,1,2\n1,3,4\n0,x,2\n", 4, "bad numeric field"),
+            ("0,1\n0,1,2\n", 2, "expected 3 fields, got 2"),
+        ],
+    )
+    def test_error_line_numbers(self, tmp_path, body, line, what):
+        p = write(tmp_path / "t.csv", "label,c0,c1\n" + body)
+        with pytest.raises(ParseError, match=f"^line {line}: {what}") as info:
+            load_logits(p)
+        assert info.value.line == line
+
+    @pytest.mark.parametrize(
+        "row, what",
+        [('0,"1",2', "bad numeric field"), ("0,1_0,2", "bad numeric field"), ("#0,1,2", "bad label '#0'")],
+    )
+    def test_no_quoting_comments_or_underscores(self, tmp_path, row, what):
+        p = write(tmp_path / "t.csv", f"label,c0,c1\n{row}\n")
+        with pytest.raises(ParseError, match=f"^line 2: {what}"):
+            load_logits(p)
+
+    def test_error_without_row_is_parse_error(self, tmp_path, monkeypatch):
+        def no_row(*args, **kwargs):
+            raise ValueError("could not convert string 'x' to float64")
+
+        monkeypatch.setattr(np, "loadtxt", no_row)
+        p = write(tmp_path / "t.csv", "label,c0,c1\n0,x,2\n")
+        with pytest.raises(ParseError):
+            load_logits(p)
+
 
 class TestPriorFiles:
     def test_round_trip(self, tmp_path):
@@ -127,6 +178,16 @@ class TestPriorFiles:
             path = write(tmp_path / "p.json", json.dumps({"probs": [0.5, 0.5], **fields}))
             with pytest.raises(ParseError):
                 load_prior(path)
+
+    def test_probs_must_be_a_list_of_numbers(self, tmp_path):
+        for probs in ("01", [True, False], [1, False], {"a": 1}, [None, 1.0], ["x", "1"]):
+            path = write(tmp_path / "p.json", json.dumps({"k": 2, "probs": probs}))
+            with pytest.raises(ParseError):
+                load_prior(path)
+        # numeric strings are what save_prior writes
+        for probs in (["0.25", "0.75"], [0.25, "0.75"], [0, 1]):
+            path = write(tmp_path / "p.json", json.dumps({"k": 2, "probs": probs}))
+            assert load_prior(path).prior.probs.tolist() == [float(x) for x in probs]
 
     def test_rejects_unknown_key(self, tmp_path):
         path = write(
@@ -173,7 +234,28 @@ class TestRunConfig:
             {"task": {"k": 3, "dim": 3, "pretrain_prior": [0.5, 0.3, 0.2]}}
         )
         assert cfg.task.k == 3
+        # mean_separation is a float, so an integer is fine too
+        for sep in (2, 2.5):
+            assert parse_run_config({"task": {"mean_separation": sep}}).task.mean_separation == sep
         assert np.allclose(cfg.task.pretrain_prior.probs, [0.5, 0.3, 0.2])
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"task": {"k": 2.0}}, "task.k"),
+            ({"task": {"k": 2, "dim": 2.5}}, "task.dim"),
+            ({"task": {"k": 2, "seed": True}}, "task.seed"),
+            ({"task": {"k": 2, "seed": "1"}}, "task.seed"),
+            ({"study": {"trials": 1.5}}, "study.trials"),
+            ({"study": {"base_seed": None}}, "study.base_seed"),
+            ({"study": {"shots": [10.7, 20]}}, r"study.shots\[0\]"),
+            ({"study": {"shots": [10, False]}}, r"study.shots\[1\]"),
+            ({"study": {"shots": 10}}, "study.shots"),
+        ],
+    )
+    def test_integer_keys_type_checked(self, payload, key):
+        with pytest.raises(ConfigError, match=key):
+            parse_run_config(payload)
 
     def test_bad_json(self, tmp_path):
         path = write(tmp_path / "c.json", "{not json")
@@ -452,6 +534,22 @@ class TestCliStudyAndSimulate:
     def test_study_config_error_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps({"study": {"shots": [10]}}))
         assert main(["study", "--config", cfg, "--estimator", "m2", "--out", "x.csv"]) == 2
+
+    def test_non_integer_config_exit_2(self, tmp_path, capsys):
+        zs, ft = str(tmp_path / "zs.csv"), str(tmp_path / "ft.csv")
+        out = str(tmp_path / "study.csv")
+        for study, task, key in (
+            ({}, {"dim": 2.5}, "task.dim"),
+            ({"trials": 1.5}, {}, "study.trials"),
+            ({"shots": [10.7, 20]}, {}, "study.shots"),
+        ):
+            payload = {"task": {"k": 2, **task}, "study": {"shots": [25], "trials": 1, **study}}
+            cfg = write(tmp_path / "cfg.json", json.dumps(payload))
+            assert main(["simulate", "--config", cfg, "--out-zs", zs, "--out-ft", ft, "--n", "4"]) == 2
+            assert key in capsys.readouterr().err
+            assert main(["study", "--config", cfg, "--estimator", "m2", "--out", out]) == 2
+            assert key in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_simulate_round_trip(self, tmp_path):
         cfg = self._config(tmp_path)
