@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, ParseError
+from .errors import ConfigError, GlaError, InvalidInput, ParseError
 from .evaluation import EvalReport
 from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex
 from .synthlab import SyntheticTaskConfig
@@ -40,6 +40,15 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
+def _read_lines(path: str, error: type[GlaError]) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
 # ---------------------------------------------------------------------------
 # Logit CSV files: header "label,c0,...,c{K-1}", one row per example.
 # ---------------------------------------------------------------------------
@@ -58,8 +67,7 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
     """Parse a logit CSV.  A fully labelled file yields LabelledLogits; any
     empty-label row degrades the whole file to an unlabelled LogitTable
     (with a warning)."""
-    with open(path) as fh:
-        header, *rows = fh.readlines() or [""]
+    header, *rows = _read_lines(path, ParseError) or [""]
     k = header.count(",")
     if k < 2 or header.rstrip("\n") != ",".join(["label"] + [f"c{i}" for i in range(k)]):
         raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
@@ -143,8 +151,7 @@ def _as_int(value, name: str) -> int:
 
 def load_prior(path: str) -> PriorDocument:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads("".join(_read_lines(path, ParseError)))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -271,8 +278,7 @@ def parse_run_config(payload: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
+        payload = json.loads("".join(_read_lines(path, ConfigError)))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return parse_run_config(payload)

@@ -93,10 +93,21 @@ def make_task(cfg: SyntheticTaskConfig) -> SyntheticTask:
 
 
 def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.ndarray:
-    """Exact Gaussian log-densities, one column per class, up to a constant."""
+    """Exact Gaussian log-densities, one column per class, up to a constant.
+
+    The squared distance is expanded, -‖x - μ‖²/2 = x·μᵀ - ‖x‖²/2 - ‖μ‖²/2,
+    so memory is O(N·K): no N×K×D difference tensor is formed.  All three
+    terms use numpy's own einsum loops rather than BLAS (`x @ means.T`): a
+    BLAS product takes a different kernel for a single row than for a
+    batch, and its last bits then depend on what else is in the batch.
+    Here a row's logits are the same bits whether it is scored alone or
+    with any other rows, which label-shift faithfulness needs.
+    """
     means = task.means_view1 if view == 1 else task.means_view2
-    diff = x[:, None, :] - means[None, :, :]
-    return -np.sum(diff * diff, axis=2) / 2.0
+    scores = np.einsum("nd,kd->nk", x, means)
+    scores -= np.einsum("nd,nd->n", x, x)[:, None] / 2.0
+    scores -= np.einsum("kd,kd->k", means, means) / 2.0
+    return scores
 
 
 def _sample_features(
@@ -125,8 +136,11 @@ def _sample_features(
 def _batch_from_features(
     task: SyntheticTask, x1: np.ndarray, x2: np.ndarray, labels: np.ndarray
 ) -> SyntheticBatch:
-    zs = class_log_likelihoods(task, x1, view=1) + log_prior(task.cfg.pretrain_prior)
-    ft = class_log_likelihoods(task, x2, view=2) + log_prior(task.cfg.source_prior)
+    # in place, so that only one N×K table per view is alive at a time
+    zs = class_log_likelihoods(task, x1, view=1)
+    zs += log_prior(task.cfg.pretrain_prior)
+    ft = class_log_likelihoods(task, x2, view=2)
+    ft += log_prior(task.cfg.source_prior)
     return SyntheticBatch(LogitTable(zs), LogitTable(ft), labels)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,18 @@ def fixed_timestamp(monkeypatch):
 
 def write(path, text):
     path.write_text(text)
+    return str(path)
+
+
+NOT_UTF8 = {
+    "logits": b"label,c0,c1\n0,1.0,2.0\n1,0.5,\xff\n",
+    "prior": b'{"k": 2, "probs": [0.5, 0.5], "source_split": "\xff"}\n',
+    "config": b'{"task": {"k": 2, "seed": 1}}\xff\n',
+}
+
+
+def write_bytes(path, data):
+    path.write_bytes(data)
     return str(path)
 
 
@@ -198,6 +211,17 @@ class TestPriorFiles:
             load_prior(path)
 
 
+@pytest.mark.parametrize("kind, load, error", [
+    ("logits", load_logits, ParseError),
+    ("prior", load_prior, ParseError),
+    ("config", load_run_config, ConfigError),
+])
+def test_not_utf8_is_named_error(tmp_path, kind, load, error):
+    path = write_bytes(tmp_path / kind, NOT_UTF8[kind])
+    with pytest.raises(error, match=re.escape(f"{path} is not UTF-8 text")):
+        load(path)
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = parse_run_config({})
@@ -320,6 +344,13 @@ class TestCliEstimate:
 
     def test_usage_error_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "bogus"]) == 2
+
+    def test_not_utf8_logits_exit_1(self, tmp_path, capsys):
+        logits = write_bytes(tmp_path / "l.csv", NOT_UTF8["logits"])
+        out = str(tmp_path / "p.json")
+        assert main(["estimate", "--logits", logits, "--method", "m2", "--out", out]) == 1
+        assert f"{logits} is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "p.json").exists()
 
     def test_floor_flag_removed_exit_2(self, tmp_path):
         logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
@@ -507,6 +538,17 @@ class TestCliEvaluate:
         code = main(["evaluate", "--logits", path, "--report", str(tmp_path / "r.json")])
         assert code == 1
 
+    def test_not_utf8_logits_or_prior_exit_1(self, tmp_path, capsys):
+        good = make_fixture_csv(tmp_path, "good.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+        bad = write_bytes(tmp_path / "bad.csv", NOT_UTF8["logits"])
+        prior = write_bytes(tmp_path / "p.json", NOT_UTF8["prior"])
+        report = str(tmp_path / "r.json")
+        assert main(["evaluate", "--logits", bad, "--report", report]) == 1
+        assert f"{bad} is not UTF-8 text" in capsys.readouterr().err
+        assert main(["evaluate", "--logits", good, "--prior-p", prior, "--report", report]) == 1
+        assert f"{prior} is not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
 
 class TestCliStudyAndSimulate:
     def _config(self, tmp_path, **study):
@@ -549,6 +591,13 @@ class TestCliStudyAndSimulate:
             assert key in capsys.readouterr().err
             assert main(["study", "--config", cfg, "--estimator", "m2", "--out", out]) == 2
             assert key in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_not_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = write_bytes(tmp_path / "cfg.json", NOT_UTF8["config"])
+        zs, ft = str(tmp_path / "zs.csv"), str(tmp_path / "ft.csv")
+        assert main(["simulate", "--config", cfg, "--out-zs", zs, "--out-ft", ft, "--n", "4"]) == 2
+        assert f"{cfg} is not UTF-8 text" in capsys.readouterr().err
         assert not any(tmp_path.glob("*.csv"))
 
     def test_simulate_round_trip(self, tmp_path):

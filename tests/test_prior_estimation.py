@@ -219,9 +219,9 @@ class TestEstimatePriorM1:
         assert np.mean(errs) <= 0.05
 
     def test_matches_m2_for_many_classes(self):
-        for k, shots in ((8, 1000), (10, 1000), (20, 800)):
+        for k, dim, shots in ((8, 8, 1000), (10, 10, 1000), (20, 20, 800), (1000, 32, 10)):
             prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
-            cfg = SyntheticTaskConfig(k=k, dim=k, pretrain_prior=prior, seed=k)
+            cfg = SyntheticTaskConfig(k=k, dim=dim, pretrain_prior=prior, seed=k)
             data = sample_shots(make_task(cfg), shots, seed=100 + k).labelled_zs()
             m1 = l1_distance(estimate_prior_m1(data), prior)
             m2 = l1_distance(estimate_prior_m2(data), prior)

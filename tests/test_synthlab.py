@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from gla.synthlab import (
     SyntheticTaskConfig,
     bayes_risk,
     binary_naive_bias,
+    class_log_likelihoods,
     make_task,
     sample_batch,
     sample_shots,
@@ -117,9 +120,60 @@ class TestSampleBatch:
             xb = b.zs_logits.scores[b.labels == c]
             m = min(len(xa), len(xb))
             assert np.array_equal(xa[:m], xb[:m])
+        # a row's logits do not depend on the rest of its batch: scored
+        # alone (N=1), inside a slice or inside a permuted batch, the bits
+        # are the same
+        rng = np.random.default_rng(18)
+        for k, dim in ((2, 2), (7, 3), (50, 5), (1000, 32)):
+            task = make_task(SyntheticTaskConfig(k=k, dim=dim, mean_separation=3.0, seed=k))
+            x = task.means_view2[rng.integers(k, size=40)] + rng.standard_normal((40, dim))
+            full = class_log_likelihoods(task, x, view=2)
+            perm = rng.permutation(40)
+            assert np.array_equal(class_log_likelihoods(task, x[perm], view=2), full[perm])
+            assert np.array_equal(class_log_likelihoods(task, x[5:31], view=2), full[5:31])
+            for i in (0, 17, 39):
+                alone = class_log_likelihoods(task, x[i:i + 1], view=2)
+                assert np.array_equal(alone, full[i:i + 1]), f"K={k}, row {i}"
+
+
+class TestClassLogLikelihoods:
+    @pytest.mark.parametrize("k, dim", [(2, 2), (10, 10), (20, 20), (7, 3), (1000, 32)])
+    @pytest.mark.parametrize("separation", [0.0, 3.0, 10.0])
+    def test_matches_broadcast_oracle(self, k, dim, separation):
+        # the expanded square against -Σ(x - μ)²/2 formed directly, on rows
+        # at a mean, near one, typical, and far from every mean, where the
+        # expansion cancels most
+        task = make_task(SyntheticTaskConfig(k=k, dim=dim, mean_separation=separation, seed=k))
+        rng = np.random.default_rng(dim)
+        for view, means in ((1, task.means_view1), (2, task.means_view2)):
+            picks = rng.integers(k, size=20)
+            x = np.vstack([
+                means[picks[:5]],
+                means[picks[5:10]] + 1e-6 * rng.standard_normal((5, dim)),
+                means[picks[10:]] + rng.standard_normal((10, dim)),
+                1e3 * rng.standard_normal((5, dim)),
+            ])
+            diff = x[:, None, :] - means[None, :, :]
+            oracle = -np.sum(diff * diff, axis=2) / 2.0
+            scale = 1.0 + np.sum(x * x, axis=1)[:, None] + np.sum(means * means, axis=1)
+            err = np.abs(class_log_likelihoods(task, x, view=view) - oracle)
+            assert np.all(err <= 1e-12 * scale), f"view {view}: worst {np.max(err / scale):.2e}"
 
 
 class TestSampleShots:
+    def test_k1000_fits_in_memory(self):
+        # ImageNet's class count: N×K logit tables only, no N×K×D temporary
+        task = make_task(SyntheticTaskConfig(k=1000, dim=32, seed=28))
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            batch = sample_shots(task, 10, seed=29)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.zs_logits.scores.shape == (10_000, 1000)
+        assert peak < 512e6, f"peak {peak / 1e6:.0f} MB"
+
     def test_exact_counts(self):
         cfg = SyntheticTaskConfig(k=3, dim=3, seed=18)
         batch = sample_shots(make_task(cfg), 7, seed=19)
