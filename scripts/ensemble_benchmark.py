@@ -15,7 +15,6 @@ import numpy as np
 
 from gla.ensemble import (
     AdjustmentSpec,
-    MixSpec,
     alpha_mix,
     debias_zero_shot,
     gla_combine,
@@ -66,7 +65,7 @@ def main():
             print(f"  {name:12s} {err:.4f}")
         sweep = []
         for alpha in np.linspace(0.0, 1.0, 11):
-            mixed = alpha_mix(batch.ft_logits, batch.zs_logits, adj, MixSpec(float(alpha)))
+            mixed = alpha_mix(batch.ft_logits, batch.zs_logits, adj, float(alpha))
             sweep.append(top1_error(mixed, batch.labels))
         best = int(np.argmin(sweep))
         print(f"  alpha sweep: best at alpha={best / 10:.1f} (err {sweep[best]:.4f}), "

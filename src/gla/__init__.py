@@ -11,7 +11,6 @@ from .numerics import (
     softmax_row,
 )
 from .prior_estimation import (
-    BoundQuery,
     TransitionMatrix,
     build_transition_matrix,
     estimate_prior_m1,
@@ -22,7 +21,6 @@ from .prior_estimation import (
 )
 from .ensemble import (
     AdjustmentSpec,
-    MixSpec,
     alpha_mix,
     debias_zero_shot,
     gla_combine,

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import ensemble as ens
 from .errors import ConfigError, GlaError, InvalidInput
-from .evaluation import breakdown_report, run_convergence_study
+from .evaluation import ESTIMATORS, breakdown_report, run_convergence_study
 from .io_formats import (
     PriorDocument,
     load_logits,
@@ -41,7 +41,7 @@ EXIT_USAGE = 2
 
 def _cmd_estimate(args) -> int:
     data = load_logits(args.logits)
-    if args.method in ("m1", "m2") and not isinstance(data, LabelledLogits):
+    if args.method != "naive" and not isinstance(data, LabelledLogits):
         raise InvalidInput(f"labels required for method {args.method}")
     if args.method == "m1":
         prior = estimate_prior_m1(data)
@@ -79,7 +79,7 @@ def _cmd_ensemble(args) -> int:
     pi_t = log_prior(load_prior(args.prior_t).prior) if args.prior_t else None
     adj = ens.AdjustmentSpec(pi_s=pi_s, pi_p=pi_p, pi_t=pi_t)
     if args.alpha is not None:
-        combined = ens.alpha_mix(ft_table, zs_table, adj, ens.MixSpec(args.alpha))
+        combined = ens.alpha_mix(ft_table, zs_table, adj, args.alpha)
     else:
         combined = ens.gla_combine(ft_table, zs_table, adj)
     save_logits(args.out, combined, labels)
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="estimate the pre-training label prior")
     p.add_argument("--logits", required=True)
-    p.add_argument("--method", required=True, choices=["m1", "m2", "naive"])
+    p.add_argument("--method", required=True, choices=ESTIMATORS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="name of the split recorded in the prior file")
@@ -179,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run an estimation-convergence study")
     p.add_argument("--config", required=True)
-    p.add_argument("--estimator", required=True, choices=["m1", "m2", "naive"])
+    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_study)
 

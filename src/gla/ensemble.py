@@ -49,15 +49,6 @@ class AdjustmentSpec:
             raise DimensionError("provided log priors disagree on K")
 
 
-@dataclass(frozen=True)
-class MixSpec:
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise InvalidInput("alpha must lie in [0, 1]")
-
-
 def _check_vector(table: LogitTable, vec: np.ndarray, name: str) -> np.ndarray:
     arr = np.asarray(vec, dtype=np.float64)
     if arr.ndim != 1 or arr.size != table.n_classes:
@@ -65,11 +56,14 @@ def _check_vector(table: LogitTable, vec: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
-def _check_pair(ft: LogitTable, zs: LogitTable) -> None:
+def _check_pair(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec | None = None) -> None:
     if ft.scores.shape != zs.scores.shape:
         raise DimensionError(
             f"table shapes differ: {ft.scores.shape} vs {zs.scores.shape}"
         )
+    # AdjustmentSpec has validated its priors and their common K
+    if adj is not None and adj.pi_s.size != ft.n_classes:
+        raise DimensionError(f"log priors have K {adj.pi_s.size}, tables have K {ft.n_classes}")
 
 
 def debias_zero_shot(zs: LogitTable, pi_p) -> LogitTable:
@@ -86,12 +80,10 @@ def logit_adjust(ft: LogitTable, pi_s) -> LogitTable:
 
 def gla_combine(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec) -> LogitTable:
     """Ensemble the two debiased scorers: ft + zs - pi_s - pi_p (+ pi_t)."""
-    _check_pair(ft, zs)
-    pi_s = _check_vector(ft, adj.pi_s, "pi_s")
-    pi_p = _check_vector(zs, adj.pi_p, "pi_p")
-    out = ft.scores + zs.scores - pi_s - pi_p
+    _check_pair(ft, zs, adj)
+    out = ft.scores + zs.scores - adj.pi_s - adj.pi_p
     if adj.pi_t is not None:
-        out = out + _check_vector(ft, adj.pi_t, "pi_t")
+        out = out + adj.pi_t
     return LogitTable(out)
 
 
@@ -101,13 +93,10 @@ def naive_ensemble(ft: LogitTable, zs: LogitTable) -> LogitTable:
     return LogitTable(ft.scores + zs.scores)
 
 
-def alpha_mix(
-    ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, mix: MixSpec
-) -> LogitTable:
+def alpha_mix(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, alpha: float) -> LogitTable:
     """Convex mix of the two debiased scorers for the ablation sweep:
-    (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s)."""
-    _check_pair(ft, zs)
-    pi_s = _check_vector(ft, adj.pi_s, "pi_s")
-    pi_p = _check_vector(zs, adj.pi_p, "pi_p")
-    a = mix.alpha
-    return LogitTable((1.0 - a) * (zs.scores - pi_p) + a * (ft.scores - pi_s))
+    (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s), with alpha in [0, 1]."""
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha!r}")
+    _check_pair(ft, zs, adj)
+    return LogitTable((1.0 - alpha) * (zs.scores - adj.pi_p) + alpha * (ft.scores - adj.pi_s))

@@ -9,9 +9,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, GlaError, InvalidInput, MissingClassError
-from .numerics import LabelledLogits, LogitTable, argmax_rows, l1_distance
+from .numerics import LabelledLogits, LogitTable, argmax_rows, as_int, l1_distance
 from .prior_estimation import (
-    BoundQuery,
     estimate_prior_m1,
     estimate_prior_m2,
     estimate_prior_naive,
@@ -19,7 +18,7 @@ from .prior_estimation import (
 )
 from .synthlab import SyntheticTaskConfig, make_task, sample_shots
 
-ESTIMATORS = ("m1", "m2", "naive")
+ESTIMATORS = ("m1", "m2", "naive")  # the one list of prior estimator names
 STUDY_DELTA = 0.05  # the study reports the M2 bound at confidence 1 - STUDY_DELTA
 
 
@@ -50,30 +49,25 @@ class ConvergenceStudy:
     metadata: dict = field(default_factory=dict)
 
 
-def _check_labels(logits: LogitTable, labels) -> np.ndarray:
-    return LabelledLogits(logits, labels).labels
-
-
 def top1_error(logits: LogitTable, labels) -> float:
     """Fraction of rows whose argmax (tie: lowest index) misses the label."""
-    lab = _check_labels(logits, labels)
+    lab = LabelledLogits(logits, labels).labels
     preds = argmax_rows(logits.scores)
     return float(np.mean(preds != lab))
 
 
 def per_class_accuracy(logits: LogitTable, labels) -> np.ndarray:
-    lab = _check_labels(logits, labels)
-    return _per_class_accuracy(argmax_rows(logits.scores), lab, logits.n_classes)
+    lab = LabelledLogits(logits, labels).labels
+    hits, counts = _class_counts(argmax_rows(logits.scores), lab, logits.n_classes)
+    return hits / counts
 
 
-def _per_class_accuracy(preds: np.ndarray, lab: np.ndarray, k: int) -> np.ndarray:
-    acc = np.empty(k)
-    for c in range(k):
-        mask = lab == c
-        if not mask.any():
-            raise MissingClassError(c)
-        acc[c] = float(np.mean(preds[mask] == c))
-    return acc
+def _class_counts(preds: np.ndarray, lab: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Correct predictions and examples per class; every class must occur."""
+    counts = np.bincount(lab, minlength=k)
+    if not counts.all():
+        raise MissingClassError(int(np.flatnonzero(counts == 0)[0]))
+    return np.bincount(lab[preds == lab], minlength=k), counts
 
 
 def balanced_error(logits: LogitTable, labels) -> float:
@@ -103,17 +97,19 @@ def breakdown_groups(pi_p, k: int) -> dict:
 
 
 def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = None) -> EvalReport:
-    """Full evaluation report with head/medium/tail accuracies."""
-    lab = _check_labels(logits, labels)
+    """Full evaluation report with head/medium/tail accuracies; a group with
+    no classes (head and tail at K < 3) has accuracy NaN."""
+    lab = LabelledLogits(logits, labels).labels
     preds = argmax_rows(logits.scores)
-    acc = _per_class_accuracy(preds, lab, logits.n_classes)
+    hits, counts = _class_counts(preds, lab, logits.n_classes)
+    acc = hits / counts
     groups = breakdown_groups(pi_p, logits.n_classes)
-    breakdown = {}
-    for name, classes in groups.items():
-        mask = np.isin(lab, classes)
-        breakdown[name] = float(np.mean(preds[mask] == lab[mask])) if mask.any() else float("nan")
+    breakdown = {
+        name: float(hits[classes].sum() / counts[classes].sum()) if classes else float("nan")
+        for name, classes in groups.items()
+    }
     meta = dict(metadata or {})
-    meta.setdefault("groups", {name: classes for name, classes in groups.items()})
+    meta.setdefault("groups", groups)
     return EvalReport(
         top1_accuracy=1.0 - float(np.mean(preds != lab)),
         balanced_accuracy=float(acc.mean()),
@@ -125,13 +121,9 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
 
 
 def _estimate(estimator: str, data: LabelledLogits):
-    if estimator == "m1":
-        return estimate_prior_m1(data)
-    if estimator == "m2":
-        return estimate_prior_m2(data)
     if estimator == "naive":
         return estimate_prior_naive(data.logits)
-    raise InvalidInput(f"unknown estimator {estimator!r}")
+    return estimate_prior_m1(data) if estimator == "m1" else estimate_prior_m2(data)
 
 
 def run_convergence_study(
@@ -150,11 +142,12 @@ def run_convergence_study(
     missing trials rather than aborting the study, and any other exception
     propagates.
     """
-    shots = sorted(int(s) for s in shots)
+    shots = sorted(as_int(s, f"shots[{i}]") for i, s in enumerate(shots))
     if not shots:
         raise InvalidInput("shots must be nonempty")
-    if trials < 1:
+    if as_int(trials, "trials") < 1:
         raise InvalidInput("trials must be >= 1")
+    base_seed = as_int(base_seed, "base_seed")
     if estimator not in ESTIMATORS:
         raise InvalidInput(f"unknown estimator {estimator!r}")
     task = make_task(task_cfg)
@@ -169,7 +162,7 @@ def run_convergence_study(
             except GlaError:
                 continue
             errors.append(l1_distance(est, truth))
-        bound = m2_error_bound(BoundQuery(task_cfg.k, n, STUDY_DELTA))
+        bound = m2_error_bound(task_cfg.k, n, STUDY_DELTA)
         if errors:
             arr = np.asarray(errors)
             rows.append(StudyRow(n, float(arr.mean()), float(arr.std()), bound, len(errors)))

@@ -1,23 +1,24 @@
 """File formats: logit CSV tables, prior documents, run configs, reports.
 
 Floats are serialized with 17 significant digits so save/load round-trips
-are exact for float64.  All writes are atomic (temp file + rename).
+are exact for float64.  All writes are atomic (temp file + rename), and
+JSON is strict: no NaN or Infinity.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
-import tempfile
 import warnings
 from dataclasses import dataclass, field, fields as dc_fields
 
 import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
-from .evaluation import EvalReport
-from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex
+from .evaluation import ESTIMATORS, EvalReport
+from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int
 from .synthlab import SyntheticTaskConfig
 
 _FLOAT_FMT = "%.17g"
@@ -28,8 +29,10 @@ def format_float(x: float) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gla-tmp-")
+    """Write through a temporary file and a rename.  The file is created with
+    mode 0o666 less the umask, as open() would create it."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gla-tmp-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -104,7 +107,7 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
 # ---------------------------------------------------------------------------
 
 _PRIOR_KEYS = {"k", "probs", "estimator", "source_split", "seed", "created_at"}
-_PRIOR_ESTIMATORS = {"m1", "m2", "naive", "given"}
+_PRIOR_ESTIMATORS = {*ESTIMATORS, "given"}
 
 
 @dataclass(frozen=True)
@@ -140,13 +143,7 @@ def save_prior(path: str, doc: PriorDocument) -> None:
         "seed": doc.seed,
         "created_at": doc.created_at or default_created_at(),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
-
-
-def _as_int(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{name} must be an integer, got {value!r}")
-    return value
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def load_prior(path: str) -> PriorDocument:
@@ -160,12 +157,14 @@ def load_prior(path: str) -> PriorDocument:
     if unknown:
         raise ParseError(f"unknown key {sorted(unknown)[0]!r}")
     try:
-        k = _as_int(payload["k"], "k")
+        k = as_int(payload["k"], "k")
+        seed = payload.get("seed")
+        seed = None if seed is None else as_int(seed, "seed")
         probs = payload["probs"]
         if not isinstance(probs, list) or any(isinstance(x, bool) for x in probs):
             raise ParseError(f"probs must be a list of numbers, got {probs!r}")
         probs = np.asarray([float(x) for x in probs])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (InvalidInput, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad prior document: {exc}") from None
     if probs.size != k:
         raise ParseError(f"probs length {probs.size} != k {k}")
@@ -178,12 +177,11 @@ def load_prior(path: str) -> PriorDocument:
     estimator = payload.get("estimator", "given")
     if estimator not in _PRIOR_ESTIMATORS:
         raise ParseError(f"unknown estimator {estimator!r}")
-    seed = payload.get("seed")
     return PriorDocument(
         prior=prior,
         estimator=estimator,
         source_split=str(payload.get("source_split", "")),
-        seed=None if seed is None else _as_int(seed, "seed"),
+        seed=seed,
         created_at=str(payload.get("created_at", "")),
     )
 
@@ -198,11 +196,12 @@ def save_report(path: str, report: EvalReport) -> None:
         "top1_accuracy": report.top1_accuracy,
         "balanced_accuracy": report.balanced_accuracy,
         "per_class_accuracy": [float(x) for x in report.per_class_accuracy],
-        "breakdown": report.breakdown,
+        # a group with no classes has no accuracy
+        "breakdown": {name: None if math.isnan(acc) else acc for name, acc in report.breakdown.items()},
         "n_examples": report.n_examples,
         "metadata": report.metadata,
     }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +243,9 @@ def _build_section(cls, payload: dict, section: str, transform=None):
         kwargs = transform(kwargs)
     try:
         for key, value in ints + [(f"shots[{i}]", n) for i, n in enumerate(shots)]:
-            _as_int(value, f"{section}.{key}")
+            as_int(value, f"{section}.{key}")
         return cls(**kwargs)
-    except (InvalidInput, ParseError, TypeError) as exc:
+    except (InvalidInput, TypeError) as exc:
         raise ConfigError(f"bad section {section!r}: {exc}") from None
 
 

@@ -17,6 +17,14 @@ LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
 
 
+def as_int(value, name: str) -> int:
+    """`value` as an int if it is a Python or numpy integer; bools, floats,
+    strings and None raise InvalidInput naming `name`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.flags.writeable = False

@@ -55,21 +55,6 @@ class TransitionMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class BoundQuery:
-    k: int
-    n_per_class: int
-    delta: float
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise InvalidInput("k must be >= 2")
-        if self.n_per_class < 1:
-            raise InvalidInput("n_per_class must be >= 1")
-        if not 0.0 < self.delta < 1.0:
-            raise InvalidInput("delta must lie in (0, 1)")
-
-
 def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
     """Average the softmax predictions per labelled class into matrix columns."""
     k = data.n_classes
@@ -167,13 +152,19 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         return value, logp
 
     def search(u, value, grad, direction):
-        """Armijo backtracking along -direction; None if nothing decreases."""
+        """Armijo backtracking along -direction; None if nothing decreases.
+
+        A rise within the risk's float resolution is accepted: near the
+        optimum the predicted decrease falls below it, and a strict test
+        would backtrack to a step too small to move u.
+        """
         slope = float(grad @ direction)
+        slack = 4 * np.finfo(np.float64).eps * abs(value)
         t = 1.0
         for _ in range(40):
             trial = u - t * direction
             trial_value, trial_logp = risk(trial)
-            if trial_value <= value - 1e-4 * t * slope:
+            if trial_value <= value - 1e-4 * t * slope + slack:
                 return trial_value, trial, trial_logp
             t *= 0.5
         return None
@@ -207,11 +198,16 @@ def estimate_prior_naive(logits: LogitTable) -> ProbabilitySimplex:
     return ProbabilitySimplex(mean / mean.sum())
 
 
-def m2_error_bound(query: BoundQuery) -> float:
+def m2_error_bound(k: int, n_per_class: int, delta: float) -> float:
     """Concentration bound on the l1 error of the stationary-distribution
     estimate from N-shot-per-class data, at confidence 1 - delta.
 
     The unobservable population constant factor is reported as 1.
     """
-    k, n, delta = query.k, query.n_per_class, query.delta
-    return math.sqrt(k * k / (2.0 * n) * math.log(2.0 * k * k / delta))
+    if k < 2:
+        raise InvalidInput("k must be >= 2")
+    if n_per_class < 1:
+        raise InvalidInput("n_per_class must be >= 1")
+    if not 0.0 < delta < 1.0:
+        raise InvalidInput("delta must lie in (0, 1)")
+    return math.sqrt(k * k / (2.0 * n_per_class) * math.log(2.0 * k * k / delta))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .numerics import LabelledLogits, LogitTable, ProbabilitySimplex, log_prior
+from .numerics import LabelledLogits, LogitTable, ProbabilitySimplex, as_int, log_prior
 
 _LABEL_STREAM = 0
 _VIEW_STREAMS = (1, 2)
@@ -37,6 +37,8 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("k", "dim", "seed"):
+            as_int(getattr(self, name), name)
         if self.pretrain_prior is None:
             object.__setattr__(self, "pretrain_prior", ProbabilitySimplex.uniform(self.k))
         if self.source_prior is None:
@@ -146,11 +148,11 @@ def _batch_from_features(
 
 def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
     """Draw n labels from `prior` on the seed's label stream."""
-    if n < 1:
+    if as_int(n, "n") < 1:
         raise InvalidInput("n must be >= 1")
     if prior.k != task.cfg.k:
         raise InvalidInput("prior length must equal k")
-    if seed < 0:
+    if as_int(seed, "seed") < 0:
         raise InvalidInput("seed must be nonnegative")
     rng_labels = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_STREAM]))
     return rng_labels.choice(task.cfg.k, size=n, p=prior.probs).astype(np.int64)
@@ -167,9 +169,9 @@ def sample_batch(
 
 def sample_shots(task: SyntheticTask, n_per_class: int, seed: int) -> SyntheticBatch:
     """Draw exactly n_per_class examples of every class (balanced N-shot)."""
-    if n_per_class < 1:
+    if as_int(n_per_class, "n_per_class") < 1:
         raise InvalidInput("n_per_class must be >= 1")
-    if seed < 0:
+    if as_int(seed, "seed") < 0:
         raise InvalidInput("seed must be nonnegative")
     labels = np.repeat(np.arange(task.cfg.k, dtype=np.int64), n_per_class)
     x1, x2 = _sample_features(task, labels, seed)

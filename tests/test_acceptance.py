@@ -18,7 +18,6 @@ import pytest
 import gla
 from gla.ensemble import (
     AdjustmentSpec,
-    MixSpec,
     alpha_mix,
     debias_zero_shot,
     gla_combine,
@@ -227,7 +226,7 @@ def test_criterion_6_alpha_sweep(dominance_tasks):
         )
         accs = []
         for alpha in np.linspace(0.0, 1.0, 11):
-            mixed = alpha_mix(batch.ft_logits, batch.zs_logits, adj, MixSpec(float(alpha)))
+            mixed = alpha_mix(batch.ft_logits, batch.zs_logits, adj, float(alpha))
             accs.append(1.0 - top1_error(mixed, batch.labels))
         if accs[5] < max(accs) - 0.005:
             ok = False

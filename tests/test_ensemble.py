@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from gla.ensemble import (
     AdjustmentSpec,
-    MixSpec,
     alpha_mix,
     debias_zero_shot,
     gla_combine,
@@ -40,9 +39,12 @@ class TestAdjustmentSpec:
         with pytest.raises(DimensionError):
             AdjustmentSpec(pi_s=log_vec(0.5, 0.5), pi_p=log_vec(0.2, 0.3, 0.5))
 
-    def test_alpha_bounds(self):
-        with pytest.raises(InvalidInput):
-            MixSpec(1.5)
+    def test_alpha_bounds(self, rng_tables):
+        ft, zs = rng_tables
+        adj = AdjustmentSpec(pi_s=log_vec(*[0.25] * 4), pi_p=log_vec(*[0.25] * 4))
+        for alpha in (1.5, -0.1, math.nan):
+            with pytest.raises(InvalidInput):
+                alpha_mix(ft, zs, adj, alpha)
 
     def test_accepts_floored_one_hot_prior(self):
         one_hot = ProbabilitySimplex(np.eye(10)[3])
@@ -201,15 +203,15 @@ class TestAlphaMix:
         )
 
     def test_alpha_one_is_logit_adjust(self):
-        out = alpha_mix(self.ft, self.zs, self.adj, MixSpec(1.0))
+        out = alpha_mix(self.ft, self.zs, self.adj, 1.0)
         assert np.array_equal(out.scores, logit_adjust(self.ft, self.adj.pi_s).scores)
 
     def test_alpha_zero_is_debias(self):
-        out = alpha_mix(self.ft, self.zs, self.adj, MixSpec(0.0))
+        out = alpha_mix(self.ft, self.zs, self.adj, 0.0)
         assert np.array_equal(out.scores, debias_zero_shot(self.zs, self.adj.pi_p).scores)
 
     def test_half_matches_gla_argmax(self):
-        out = alpha_mix(self.ft, self.zs, self.adj, MixSpec(0.5))
+        out = alpha_mix(self.ft, self.zs, self.adj, 0.5)
         combined = gla_combine(self.ft, self.zs, self.adj)
         assert np.array_equal(
             np.argmax(out.scores, 1), np.argmax(combined.scores, 1)

@@ -8,6 +8,7 @@ from gla.evaluation import (
     breakdown_groups,
     breakdown_report,
     loglog_slope,
+    per_class_accuracy,
     run_convergence_study,
     top1_error,
 )
@@ -83,6 +84,9 @@ class TestBalancedError:
     def test_missing_class(self):
         with pytest.raises(MissingClassError):
             balanced_error(LogitTable(np.zeros((2, 3))), [0, 1])
+        with pytest.raises(MissingClassError) as info:
+            per_class_accuracy(LogitTable(np.zeros((4, 5))), [0, 4, 1, 4])
+        assert info.value.class_index == 2
 
 
 class TestBreakdown:
@@ -123,6 +127,26 @@ class TestBreakdown:
         for acc in report.breakdown.values():
             assert 0.0 <= acc <= 1.0
         assert report.n_examples == n
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 50])
+    def test_accuracies_match_masked_means_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        n = 40 * k + 3
+        t = LogitTable(rng.normal(size=(n, k)))
+        labels = rng.integers(0, k, n)
+        labels[:k] = np.arange(k)
+        pi_p = rng.normal(size=k)
+        report = breakdown_report(t, labels, pi_p)
+        preds = np.argmax(t.scores, axis=1)
+        per_class = [float(np.mean(preds[labels == c] == c)) for c in range(k)]
+        assert report.per_class_accuracy.tolist() == per_class
+        assert per_class_accuracy(t, labels).tolist() == per_class
+        for name, classes in breakdown_groups(pi_p, k).items():
+            mask = np.isin(labels, classes)
+            if classes:
+                assert report.breakdown[name] == float(np.mean(preds[mask] == labels[mask]))
+            else:
+                assert np.isnan(report.breakdown[name])
 
 
 class TestConvergenceStudy:
@@ -178,6 +202,22 @@ class TestConvergenceStudy:
         monkeypatch.setattr(gla.evaluation, "estimate_prior_m2", broken)
         with pytest.raises(ZeroDivisionError):
             run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
+
+    def test_integer_arguments_checked(self):
+        cfg = SyntheticTaskConfig(k=2, seed=1)
+        for kwargs, name in (
+            ({"shots": [10.7]}, r"shots\[0\]"),
+            ({"shots": [5, True]}, r"shots\[1\]"),
+            ({"shots": ["5"]}, r"shots\[0\]"),
+            ({"trials": 1.5}, "trials"),
+            ({"base_seed": None}, "base_seed"),
+            ({"base_seed": 1.0}, "base_seed"),
+        ):
+            args = {"shots": [10], "trials": 1, "base_seed": 0, **kwargs}
+            with pytest.raises(InvalidInput, match=name):
+                run_convergence_study(cfg, "m2", **args)
+        study = run_convergence_study(cfg, "m2", np.array([10, 20]), np.int64(2), base_seed=np.int32(3))
+        assert study.shots == [10, 20] and study.metadata["base_seed"] == 3
 
     def test_m2_slope(self):
         cfg = SyntheticTaskConfig(

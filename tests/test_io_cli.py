@@ -1,12 +1,15 @@
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
 
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
+from gla.evaluation import EvalReport
 from gla.io_formats import (
     PriorDocument,
     load_logits,
@@ -15,6 +18,7 @@ from gla.io_formats import (
     parse_run_config,
     save_logits,
     save_prior,
+    save_report,
 )
 from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex
 
@@ -549,6 +553,42 @@ class TestCliEvaluate:
         assert f"{prior} is not UTF-8 text" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+
+    def test_reports_are_strict_json(self, tmp_path):
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        # at K=2 the head and tail groups have no classes, so no accuracy
+        logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0], [1.0, 0.0]], [0, 1, 1])
+        prior = str(tmp_path / "p.json")
+        save_prior(prior, PriorDocument(prior=ProbabilitySimplex([0.7, 0.3])))
+        report = str(tmp_path / "r.json")
+        assert main(["evaluate", "--logits", logits, "--prior-p", prior, "--report", report]) == 0
+        payload = json.loads(open(report).read(), parse_constant=reject)
+        assert payload["breakdown"] == {"head": None, "medium": 2 / 3, "tail": None}
+        json.loads(open(prior).read(), parse_constant=reject)
+        bad = EvalReport(1.0, 1.0, np.ones(2), {"medium": 1.0}, 2, {"x": math.inf})
+        with pytest.raises(ValueError):
+            save_report(str(tmp_path / "bad.json"), bad)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "p.json", "r.json"]
+
+
+class TestOutputModes:
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+    def test_outputs_follow_umask(self, tmp_path, umask, mode):
+        old = os.umask(umask)
+        try:
+            logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+            prior = str(tmp_path / "p.json")
+            assert main(["estimate", "--logits", logits, "--method", "m2", "--out", prior]) == 0
+            report = str(tmp_path / "r.json")
+            assert main(["evaluate", "--logits", logits, "--report", report]) == 0
+            assert main(["evaluate", "--logits", logits, "--report", report]) == 0  # replaces
+        finally:
+            os.umask(old)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "p.json", "r.json"]
+        for path in tmp_path.iterdir():
+            assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
 class TestCliStudyAndSimulate:
     def _config(self, tmp_path, **study):

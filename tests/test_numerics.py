@@ -11,6 +11,7 @@ from gla.numerics import (
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
+    as_int,
     l1_distance,
     log_prior,
     project_to_simplex,
@@ -22,6 +23,18 @@ finite_vectors = arrays(
     st.integers(1, 8),
     elements=st.floats(-50, 50, allow_nan=False, allow_infinity=False),
 )
+
+
+class TestAsInt:
+    def test_accepts_python_and_numpy_ints(self):
+        for value in (0, -3, 2**70, np.int8(5), np.uint64(7), np.int64(-2)):
+            out = as_int(value, "x")
+            assert type(out) is int and out == value
+
+    def test_rejects_everything_else(self):
+        for value in (True, np.bool_(True), 1.0, 2.5, np.float64(3.0), "3", None, [1]):
+            with pytest.raises(InvalidInput, match=r"^count must be an integer, got "):
+                as_int(value, "count")
 
 
 class TestProbabilitySimplex:

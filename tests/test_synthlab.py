@@ -56,6 +56,39 @@ class TestMakeTask:
         assert risks[1] < risks[0]
 
 
+class TestIntegerArguments:
+    @pytest.mark.parametrize("field", ["k", "dim", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
+    def test_config_fields(self, field, value):
+        with pytest.raises(InvalidInput, match=f"{field} must be an integer"):
+            SyntheticTaskConfig(**{"k": 3, field: value})
+
+    def test_config_accepts_numpy_ints(self):
+        cfg = SyntheticTaskConfig(k=np.int64(3), dim=np.int32(2), seed=np.uint8(4))
+        assert cfg.pretrain_prior.k == 3
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_sampler_arguments(self, value):
+        task = make_task(SyntheticTaskConfig(k=2, seed=1))
+        u = ProbabilitySimplex.uniform(2)
+        with pytest.raises(InvalidInput, match="n must be an integer"):
+            sample_batch(task, u, value, 0)
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            sample_batch(task, u, 4, value)
+        with pytest.raises(InvalidInput, match="n_per_class must be an integer"):
+            sample_shots(task, value, 0)
+        with pytest.raises(InvalidInput, match="seed must be an integer"):
+            sample_shots(task, 2, value)
+
+    def test_samplers_accept_numpy_ints(self):
+        task = make_task(SyntheticTaskConfig(k=2, seed=1))
+        a = sample_shots(task, np.int64(3), np.int32(5))
+        b = sample_shots(task, 3, 5)
+        assert np.array_equal(a.zs_logits.scores, b.zs_logits.scores)
+        c = sample_batch(task, ProbabilitySimplex.uniform(2), np.int16(4), np.int64(5))
+        assert np.array_equal(c.labels, sample_batch(task, ProbabilitySimplex.uniform(2), 4, 5).labels)
+
+
 class TestSampleBatch:
     def test_one_hot_prior(self):
         cfg = SyntheticTaskConfig(k=2, seed=6)
