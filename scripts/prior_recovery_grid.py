@@ -20,7 +20,7 @@ from gla.prior_estimation import (
     estimate_prior_m2,
     estimate_prior_naive,
 )
-from gla.synthlab import SyntheticTaskConfig, make_task, sample_shots
+from gla.synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
 
 def main():
@@ -42,8 +42,7 @@ def main():
                 pretrain_prior=ProbabilitySimplex([q1, 1.0 - q1]),
                 seed=seed,
             )
-            batch = sample_shots(make_task(cfg), args.shots, seed=100 + seed)
-            data = batch.labelled_zs()
+            data = zero_shot_shots(make_task(cfg), args.shots, seed=100 + seed)
             est["m1"].append(estimate_prior_m1(data).probs[0])
             est["m2"].append(estimate_prior_m2(data).probs[0])
             est["naive"].append(estimate_prior_naive(data.logits).probs[0])

@@ -16,7 +16,7 @@ from .prior_estimation import (
     estimate_prior_naive,
     m2_error_bound,
 )
-from .synthlab import SyntheticTaskConfig, make_task, sample_shots
+from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
 ESTIMATORS = ("m1", "m2", "naive")  # the one list of prior estimator names
 STUDY_DELTA = 0.05  # the study reports the M2 bound at confidence 1 - STUDY_DELTA
@@ -137,10 +137,10 @@ def run_convergence_study(
     function of the per-class shot count, alongside the theoretical bound
     at confidence 1 - STUDY_DELTA.
 
-    Each (N, trial) cell draws an independent balanced N-shot batch with
-    seed base_seed + trial; estimator failures (a GlaError) are recorded as
-    missing trials rather than aborting the study, and any other exception
-    propagates.
+    Each (N, trial) cell draws only the zero-shot view of the balanced
+    N-shot batch with seed base_seed + trial, the one view estimators read;
+    estimator failures (a GlaError) are recorded as missing trials rather
+    than aborting the study, and any other exception propagates.
     """
     shots = sorted(as_int(s, f"shots[{i}]") for i, s in enumerate(shots))
     if not shots:
@@ -156,9 +156,9 @@ def run_convergence_study(
     for n in shots:
         errors = []
         for trial in range(trials):
-            batch = sample_shots(task, n, seed=base_seed + trial)
+            data = zero_shot_shots(task, n, seed=base_seed + trial)
             try:
-                est = _estimate(estimator, batch.labelled_zs())
+                est = _estimate(estimator, data)
             except GlaError:
                 continue
             errors.append(l1_distance(est, truth))

@@ -168,8 +168,8 @@ def load_prior(path: str) -> PriorDocument:
         raise ParseError(f"bad prior document: {exc}") from None
     if probs.size != k:
         raise ParseError(f"probs length {probs.size} != k {k}")
-    if np.any(probs < 0) or abs(float(probs.sum()) - 1.0) > 1e-6:
-        raise ParseError("probs is not a probability simplex (tolerance 1e-6)")
+    if not (np.all(probs >= 0) and abs(float(probs.sum()) - 1.0) <= 1e-6):
+        raise ParseError("probs is not a finite probability simplex (tolerance 1e-6)")
     total = float(probs.sum())
     # renormalize only what ProbabilitySimplex would reject, so that priors
     # written by save_prior load back bit for bit
@@ -215,6 +215,14 @@ class StudyOptions:
     shots: list = field(default_factory=lambda: [25, 100, 400, 1600])
     trials: int = 5
     base_seed: int = 0
+
+    def __post_init__(self):
+        if not self.shots or min(self.shots) < 1:
+            raise InvalidInput(f"study.shots must be a nonempty list of counts >= 1, got {self.shots!r}")
+        if self.trials < 1:
+            raise InvalidInput(f"study.trials must be >= 1, got {self.trials!r}")
+        if self.base_seed < 0:
+            raise InvalidInput(f"study.base_seed must be nonnegative, got {self.base_seed!r}")
 
 
 @dataclass(frozen=True)

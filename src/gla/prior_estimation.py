@@ -139,14 +139,15 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     freq = np.bincount(labels, minlength=k) / labels.size
     if np.any(freq == 0.0):
         raise MissingClassError(int(np.flatnonzero(freq == 0.0)[0]))
-    scores = validation.logits.scores
-    rows = np.arange(labels.size)
+    # class-major (K x N): a reduction over classes is K vector passes, not N short ones
+    scores = np.ascontiguousarray(validation.logits.scores.T)
+    cols = np.arange(labels.size)
 
     def risk(u):
-        logp = scores + u
-        logp -= logp.max(axis=1, keepdims=True)
-        logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-        value = float(-np.mean(logp[rows, labels]))
+        logp = scores + u[:, None]
+        logp -= logp.max(axis=0)
+        logp -= np.log(np.exp(logp).sum(axis=0))
+        value = float(-np.mean(logp[labels, cols]))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
         return value, logp
@@ -173,18 +174,18 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     value, logp = risk(u)
     for _ in range(M1_MAX_ITERS):
         probs = np.exp(logp)
-        mean = probs.mean(axis=0)
+        mean = probs.mean(axis=1)
         grad = mean - freq
         norm = float(np.abs(grad).sum())
         if norm < M1_TOL:
             break
         # the 1/K term fixes the shift null-space; the norm^2 damping keeps the
         # matrix nonsingular when some class is never predicted
-        hess = np.diag(mean + norm * norm) - probs.T @ probs / labels.size + 1.0 / k
+        hess = np.diag(mean + norm * norm) - probs @ probs.T / labels.size + 1.0 / k
         newton = np.linalg.solve(hess, grad)
         # log of the mean prediction, without underflow for unpredicted classes
-        top = logp.max(axis=0)
-        scaling = top + np.log(np.exp(logp - top).mean(axis=0)) - np.log(freq)
+        top = logp.max(axis=1)
+        scaling = top + np.log(np.exp(logp - top[:, None]).mean(axis=1)) - np.log(freq)
         found = [r for r in (search(u, value, grad, d) for d in (newton, scaling)) if r]
         if not found:
             break  # no decrease left at float precision

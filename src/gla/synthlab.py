@@ -112,38 +112,23 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     return scores
 
 
-def _sample_features(
-    task: SyntheticTask, labels: np.ndarray, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw both views' features with per-class, per-view seed streams."""
+def _sample_view(
+    task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex
+) -> LogitTable:
+    """Draw one view's features on its per-class seed streams and score them:
+    the view's class log-likelihoods plus log `prior`, added in place."""
     cfg = task.cfg
-    n = labels.size
-    xs = []
-    for view, means, stream in (
-        (1, task.means_view1, _VIEW_STREAMS[0]),
-        (2, task.means_view2, _VIEW_STREAMS[1]),
-    ):
-        x = np.empty((n, cfg.dim))
-        for c in range(cfg.k):
-            idx = np.nonzero(labels == c)[0]
-            if idx.size == 0:
-                continue
-            rng_c = np.random.default_rng(np.random.SeedSequence([seed, stream, c]))
-            noise = rng_c.standard_normal((idx.size, cfg.dim))
-            x[idx] = means[c] + noise
-        xs.append(x)
-    return xs[0], xs[1]
-
-
-def _batch_from_features(
-    task: SyntheticTask, x1: np.ndarray, x2: np.ndarray, labels: np.ndarray
-) -> SyntheticBatch:
-    # in place, so that only one N×K table per view is alive at a time
-    zs = class_log_likelihoods(task, x1, view=1)
-    zs += log_prior(task.cfg.pretrain_prior)
-    ft = class_log_likelihoods(task, x2, view=2)
-    ft += log_prior(task.cfg.source_prior)
-    return SyntheticBatch(LogitTable(zs), LogitTable(ft), labels)
+    means = task.means_view1 if view == 1 else task.means_view2
+    x = np.empty((labels.size, cfg.dim))
+    for c in range(cfg.k):
+        idx = np.nonzero(labels == c)[0]
+        if idx.size == 0:
+            continue
+        rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
+        x[idx] = means[c] + rng_c.standard_normal((idx.size, cfg.dim))
+    scores = class_log_likelihoods(task, x, view=view)
+    scores += log_prior(prior)
+    return LogitTable(scores)
 
 
 def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
@@ -163,29 +148,37 @@ def sample_batch(
 ) -> SyntheticBatch:
     """Draw n examples with labels from `prior` and fixed class-conditionals."""
     labels = _sample_labels(task, prior, n, seed)
-    x1, x2 = _sample_features(task, labels, seed)
-    return _batch_from_features(task, x1, x2, labels)
+    zs = _sample_view(task, labels, seed, 1, task.cfg.pretrain_prior)
+    return SyntheticBatch(zs, _sample_view(task, labels, seed, 2, task.cfg.source_prior), labels)
 
 
-def sample_shots(task: SyntheticTask, n_per_class: int, seed: int) -> SyntheticBatch:
-    """Draw exactly n_per_class examples of every class (balanced N-shot)."""
+def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> LabelledLogits:
+    """The zero-shot view of `sample_shots(task, n_per_class, seed)`, bit for
+    bit, without drawing the fine-tuned view."""
     if as_int(n_per_class, "n_per_class") < 1:
         raise InvalidInput("n_per_class must be >= 1")
     if as_int(seed, "seed") < 0:
         raise InvalidInput("seed must be nonnegative")
     labels = np.repeat(np.arange(task.cfg.k, dtype=np.int64), n_per_class)
-    x1, x2 = _sample_features(task, labels, seed)
-    return _batch_from_features(task, x1, x2, labels)
+    return LabelledLogits(_sample_view(task, labels, seed, 1, task.cfg.pretrain_prior), labels)
+
+
+def sample_shots(task: SyntheticTask, n_per_class: int, seed: int) -> SyntheticBatch:
+    """Draw exactly n_per_class examples of every class (balanced N-shot)."""
+    zs = zero_shot_shots(task, n_per_class, seed)
+    ft = _sample_view(task, zs.labels, seed, 2, task.cfg.source_prior)
+    return SyntheticBatch(zs.logits, ft, zs.labels)
 
 
 def _monte_carlo_risk(
     task: SyntheticTask, eval_prior: ProbabilitySimplex, views, n_mc: int, seed: int
 ) -> float:
-    """Monte-Carlo risk of the exact Bayes classifier that sees `views`."""
+    """Monte-Carlo risk of the exact Bayes classifier that sees `views`: the
+    views are independent given the label, so it scores the sum of their
+    log-posteriors under eval_prior less all but one copy of the log prior."""
     labels = _sample_labels(task, eval_prior, n_mc, seed)
-    xs = _sample_features(task, labels, seed)
-    scores = sum(class_log_likelihoods(task, xs[view - 1], view=view) for view in views)
-    preds = np.argmax(scores + log_prior(eval_prior), axis=1)
+    scores = sum(_sample_view(task, labels, seed, view, eval_prior).scores for view in views)
+    preds = np.argmax(scores - (len(views) - 1) * log_prior(eval_prior), axis=1)
     return float(np.mean(preds != labels))
 
 

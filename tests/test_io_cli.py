@@ -206,6 +206,12 @@ class TestPriorFiles:
             path = write(tmp_path / "p.json", json.dumps({"k": 2, "probs": probs}))
             assert load_prior(path).prior.probs.tolist() == [float(x) for x in probs]
 
+    @pytest.mark.parametrize("probs", ['[NaN, 1.0]', '[Infinity, 1.0]', '[0.5, -Infinity]', '["nan", "1"]'])
+    def test_rejects_non_finite_probs(self, tmp_path, probs):
+        path = write(tmp_path / "p.json", f'{{"k": 2, "probs": {probs}}}')
+        with pytest.raises(ParseError, match="probs is not a finite probability simplex"):
+            load_prior(path)
+
     def test_rejects_unknown_key(self, tmp_path):
         path = write(
             tmp_path / "p.json",
@@ -616,6 +622,19 @@ class TestCliStudyAndSimulate:
     def test_study_config_error_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps({"study": {"shots": [10]}}))
         assert main(["study", "--config", cfg, "--estimator", "m2", "--out", "x.csv"]) == 2
+
+    @pytest.mark.parametrize("study, key", [
+        ({"shots": []}, "study.shots"),
+        ({"shots": [0, 25]}, "study.shots"),
+        ({"trials": 0}, "study.trials"),
+        ({"base_seed": -1}, "study.base_seed"),
+    ], ids=["empty-shots", "zero-shots", "zero-trials", "negative-seed"])
+    def test_study_range_error_exit_2(self, tmp_path, capsys, study, key):
+        cfg = self._config(tmp_path, **study)
+        out = str(tmp_path / "study.csv")
+        assert main(["study", "--config", cfg, "--estimator", "m2", "--out", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
 
     def test_non_integer_config_exit_2(self, tmp_path, capsys):
         zs, ft = str(tmp_path / "zs.csv"), str(tmp_path / "ft.csv")

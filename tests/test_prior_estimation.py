@@ -234,6 +234,15 @@ class TestEstimatePriorM1:
             m2 = l1_distance(estimate_prior_m2(data), prior)
             assert m1 <= m2 + 0.02, f"K={k}: m1 l1 {m1:.4f}, m2 l1 {m2:.4f}"
 
+    @pytest.mark.parametrize("k", [2, 5, 10, 20])
+    @pytest.mark.parametrize("separation", [1, 2, 3, 4, 5, 6])
+    def test_gradient_vanishes_on_grid(self, k, separation):
+        # m1_gradient_l1 works example-major, so this holds whatever layout M1 uses
+        prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
+        cfg = SyntheticTaskConfig(k=k, dim=k, mean_separation=float(separation), pretrain_prior=prior, seed=k)
+        data = sample_shots(make_task(cfg), 50, seed=separation).labelled_zs()
+        assert m1_gradient_l1(data, estimate_prior_m1(data)) <= 1e-9
+
     def test_k1000_converges_within_ten_steps(self, monkeypatch):
         # near the optimum Newton's predicted decrease is below the risk's
         # float resolution; a line search that demands a visible decrease

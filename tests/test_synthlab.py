@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from gla.synthlab import (
     sample_batch,
     sample_shots,
     single_view_bayes_risk,
+    zero_shot_shots,
 )
 
 
@@ -216,6 +218,44 @@ class TestSampleShots:
         cfg = SyntheticTaskConfig(k=2, seed=18)
         with pytest.raises(InvalidInput):
             sample_shots(make_task(cfg), 0, seed=19)
+        with pytest.raises(InvalidInput):
+            zero_shot_shots(make_task(cfg), 0, seed=19)
+
+    @pytest.mark.parametrize("k, dim, shots", [(2, 2, 40), (7, 3, 30), (50, 16, 6), (1000, 32, 3)])
+    def test_zero_shot_shots_is_the_zero_shot_view(self, k, dim, shots):
+        cfg = SyntheticTaskConfig(k=k, dim=dim, mean_separation=3.0, pretrain_prior=skewed(k, k), seed=k)
+        task = make_task(cfg)
+        a = zero_shot_shots(task, shots, seed=33)
+        b = sample_shots(task, shots, seed=33).labelled_zs()
+        assert a.logits.scores.tobytes() == b.logits.scores.tobytes()
+        assert np.array_equal(a.labels, b.labels)
+
+
+def batch_digest(batch):
+    h = hashlib.sha256()
+    for arr in (batch.zs_logits.scores, batch.ft_logits.scores, batch.labels):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+# The prior entries are powers of two, whose logs numpy returns alike with
+# and without its AVX-512 kernels, so the digests pin the seed streams and
+# the scoring rather than the machine's log.
+@pytest.mark.parametrize("k, dim, weights, batch, shots", [
+    (4, 3, [4, 2, 1, 1],
+     "ed595ab89a02d9b817092e7ca9a1589b812d21a787011e955921818003fd6e80",
+     "8ceac93d15135a47002d16978e8412719d9c29c53660304396c0d04ded28395d"),
+    (8, 5, [4, 4, 2, 2, 1, 1, 1, 1],
+     "25f6ea6851556294ec113b7437c0e802841907307f16b4578e337c5a309fa5e3",
+     "854d69bf1a2c6d4b16acfea09bd4e6aad8753cd3f4b6d13cba901c4fd42da1d1"),
+])
+def test_sampler_golden_digests(k, dim, weights, batch, shots):
+    pre = ProbabilitySimplex.from_weights(weights)
+    src = ProbabilitySimplex.from_weights(weights[::-1])
+    cfg = SyntheticTaskConfig(k=k, dim=dim, mean_separation=2.5, pretrain_prior=pre, source_prior=src, seed=31)
+    task = make_task(cfg)
+    assert batch_digest(sample_batch(task, pre, 500, seed=7)) == batch
+    assert batch_digest(sample_shots(task, 25, seed=8)) == shots
 
 
 class TestBayesRisk:
