@@ -81,9 +81,11 @@ def logit_adjust(ft: LogitTable, pi_s) -> LogitTable:
 def gla_combine(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec) -> LogitTable:
     """Ensemble the two debiased scorers: ft + zs - pi_s - pi_p (+ pi_t)."""
     _check_pair(ft, zs, adj)
-    out = ft.scores + zs.scores - adj.pi_s - adj.pi_p
+    out = ft.scores + zs.scores
+    out -= adj.pi_s
+    out -= adj.pi_p
     if adj.pi_t is not None:
-        out = out + adj.pi_t
+        out += adj.pi_t
     return LogitTable(out)
 
 
@@ -99,4 +101,9 @@ def alpha_mix(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, alpha: float)
     if not 0.0 <= alpha <= 1.0:
         raise InvalidInput(f"alpha must lie in [0, 1], got {alpha!r}")
     _check_pair(ft, zs, adj)
-    return LogitTable((1.0 - alpha) * (zs.scores - adj.pi_p) + alpha * (ft.scores - adj.pi_s))
+    out = zs.scores - adj.pi_p
+    out *= 1.0 - alpha
+    ft_part = ft.scores - adj.pi_s
+    ft_part *= alpha
+    out += ft_part
+    return LogitTable(out)

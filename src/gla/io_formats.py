@@ -7,6 +7,7 @@ JSON is strict: no NaN or Infinity.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -28,14 +29,15 @@ def format_float(x: float) -> str:
     return _FLOAT_FMT % float(x)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write through a temporary file and a rename.  The file is created with
-    mode 0o666 less the umask, as open() would create it."""
+def atomic_write_text(path: str, text) -> None:
+    """Write `text`, a string or an iterable of strings, through a temporary
+    file and a rename.  The file is created with mode 0o666 less the umask,
+    as open() would create it; a failed write leaves no file behind."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gla-tmp-{os.urandom(6).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -43,53 +45,86 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _read_lines(path: str, error: type[GlaError]) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes raise `error` naming the file."""
+def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[GlaError]) -> GlaError:
+    return error(f"{path} is not UTF-8 text ({exc.reason})")
+
+
+def _read_text(path: str, error: type[GlaError]) -> str:
+    """A whole UTF-8 text file; other bytes raise `error` naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+            return fh.read()
     except UnicodeDecodeError as exc:
-        raise error(f"{path} is not UTF-8 text ({exc.reason})") from None
+        raise _not_utf8(path, exc, error) from None
 
 
 # ---------------------------------------------------------------------------
 # Logit CSV files: header "label,c0,...,c{K-1}", one row per example.
+# Both directions stream: memory is the table plus one block of about
+# LOGIT_BLOCK_FIELDS fields, never a text copy of the whole file.
 # ---------------------------------------------------------------------------
+
+LOGIT_BLOCK_FIELDS = 2**16
+
+
+def _logit_blocks(scores: np.ndarray, labels: np.ndarray | None):
+    k = scores.shape[1]
+    step = max(1, LOGIT_BLOCK_FIELDS // (k + 1))
+    # labels ride in the float block: "%d" % 3.0 == "3"
+    row_fmt = ("," if labels is None else "%d,") + ",".join([_FLOAT_FMT] * k) + "\n"
+    yield "label," + ",".join(f"c{i}" for i in range(k)) + "\n"
+    for start in range(0, scores.shape[0], step):
+        block = scores[start:start + step]
+        if labels is not None:
+            block = np.column_stack((labels[start:start + step], block))
+        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
 
 
 def save_logits(path: str, table: LogitTable, labels=None) -> None:
-    k = table.n_classes
-    labs = [""] * table.n_examples if labels is None else LabelledLogits(table, labels).labels.tolist()
-    row_fmt = "%s," + ",".join([_FLOAT_FMT] * k)
-    lines = ["label," + ",".join(f"c{i}" for i in range(k))]
-    lines += [row_fmt % (lab, *row.tolist()) for lab, row in zip(labs, table.scores)]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    labs = None if labels is None else LabelledLogits(table, labels).labels
+    atomic_write_text(path, _logit_blocks(table.scores, labs))
+
+
+def _checked_rows(fh, k: int):
+    """The data lines of an open logit CSV, each checked for K commas (a
+    blank line too: loadtxt alone would skip it)."""
+    lineno = 1
+    for lineno, row in enumerate(fh, start=2):
+        if row.count(",") != k:
+            raise ParseError(f"expected {k + 1} fields, got {row.count(',') + 1}", line=lineno)
+        yield row
+    if lineno == 1:
+        raise ParseError("no data rows", line=2)
 
 
 def load_logits(path: str) -> LabelledLogits | LogitTable:
     """Parse a logit CSV.  A fully labelled file yields LabelledLogits; any
     empty-label row degrades the whole file to an unlabelled LogitTable
     (with a warning)."""
-    header, *rows = _read_lines(path, ParseError) or [""]
-    k = header.count(",")
-    if k < 2 or header.rstrip("\n") != ",".join(["label"] + [f"c{i}" for i in range(k)]):
-        raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
-    if not rows:
-        raise ParseError("no data rows", line=2)
-    for lineno, row in enumerate(rows, start=2):
-        if row.count(",") != k:
-            raise ParseError(f"expected {k + 1} fields, got {row.count(',') + 1}", line=lineno)
     try:
-        # encoding=None: by default numpy < 2 hands converters bytes
-        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2, encoding=None,
-                          converters={0: lambda s: float(int(s)) if s else np.nan})
-    except ValueError as exc:
-        where = re.search(r"at row (\d+), column (\d+)", str(exc))
-        if where is None:
-            raise ParseError(f"bad field: {exc}") from None
-        r = int(where[1])
-        what = f"bad label {rows[r].split(',', 1)[0]!r}" if where[2] == "1" else "bad numeric field"
-        raise ParseError(what, line=r + 2) from None
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+            k = header.count(",")
+            if k < 2 or header.rstrip("\n") != ",".join(["label"] + [f"c{i}" for i in range(k)]):
+                raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
+            try:
+                # encoding=None: by default numpy < 2 hands converters bytes
+                data = np.loadtxt(_checked_rows(fh, k), delimiter=",", comments=None, ndmin=2,
+                                  encoding=None, converters={0: lambda s: float(int(s)) if s else np.nan})
+            except UnicodeDecodeError:  # a ValueError too: a bad byte read mid-stream
+                raise
+            except ValueError as exc:
+                where = re.search(r"at row (\d+), column (\d+)", str(exc))
+                if where is None:
+                    raise ParseError(f"bad field: {exc}") from None
+                lineno = int(where[1]) + 2
+                if where[2] != "1":
+                    raise ParseError("bad numeric field", line=lineno) from None
+                fh.seek(0)  # only this error path reads the file again
+                row = next(itertools.islice(fh, lineno - 1, None))
+                raise ParseError(f"bad label {row.split(',', 1)[0]!r}", line=lineno) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, ParseError) from None
     labels, table = data[:, 0], LogitTable(data[:, 1:])
     bad = np.flatnonzero((labels < 0) | (labels >= k))
     if bad.size:
@@ -121,14 +156,18 @@ class PriorDocument:
 
 def default_created_at() -> str:
     """Timestamp for provenance.  Honors SOURCE_DATE_EPOCH so seeded runs
-    can be byte-reproducible; falls back to wall clock."""
+    can be byte-reproducible; falls back to wall clock.  A value that is not
+    a representable Unix time is a ConfigError."""
     import datetime
 
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        ts = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
-    else:
+    if epoch is None:
         ts = datetime.datetime.now(datetime.timezone.utc)
+    else:
+        try:
+            ts = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError) as exc:
+            raise ConfigError(f"SOURCE_DATE_EPOCH={epoch!r} is not a usable Unix time ({exc})") from None
     return ts.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -148,7 +187,7 @@ def save_prior(path: str, doc: PriorDocument) -> None:
 
 def load_prior(path: str) -> PriorDocument:
     try:
-        payload = json.loads("".join(_read_lines(path, ParseError)))
+        payload = json.loads(_read_text(path, ParseError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
@@ -285,7 +324,7 @@ def parse_run_config(payload: dict) -> RunConfig:
 
 def load_run_config(path: str) -> RunConfig:
     try:
-        payload = json.loads("".join(_read_lines(path, ConfigError)))
+        payload = json.loads(_read_text(path, ConfigError))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     return parse_run_config(payload)

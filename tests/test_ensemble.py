@@ -177,6 +177,22 @@ class TestGlaCombine:
             AdjustmentSpec(pi_s=None, pi_p=u)
 
 
+def test_combine_and_mix_equal_written_formulas():
+    rng = np.random.default_rng(5)
+    for k in (2, 7, 50):
+        ft = rng.normal(scale=30.0, size=(300, k))
+        zs = rng.normal(scale=30.0, size=(300, k))
+        pi_s, pi_p, pi_t = (np.log(rng.dirichlet(np.ones(k))) for _ in range(3))
+        for adj in (AdjustmentSpec(pi_s=pi_s, pi_p=pi_p), AdjustmentSpec(pi_s=pi_s, pi_p=pi_p, pi_t=pi_t)):
+            expected = ft + zs - pi_s - pi_p
+            if adj.pi_t is not None:
+                expected = expected + pi_t
+            assert np.array_equal(gla_combine(LogitTable(ft), LogitTable(zs), adj).scores, expected)
+            for alpha in (0.0, 0.3, 0.5, 1.0):
+                mixed = alpha_mix(LogitTable(ft), LogitTable(zs), adj, alpha).scores
+                assert np.array_equal(mixed, (1.0 - alpha) * (zs - pi_p) + alpha * (ft - pi_s))
+
+
 class TestNaiveEnsemble:
     def test_zero_zs_is_identity(self, rng_tables):
         ft, _ = rng_tables

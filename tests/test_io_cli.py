@@ -3,6 +3,8 @@ import math
 import os
 import re
 import stat
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,9 @@ from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
 from gla.io_formats import (
+    LOGIT_BLOCK_FIELDS,
     PriorDocument,
+    atomic_write_text,
     load_logits,
     load_prior,
     load_run_config,
@@ -127,6 +131,7 @@ class TestLogitFiles:
             ("0,1,2\n1.5,3,4\n", 3, "bad label '1.5'"),
             ("0,1,2\n1,3,4\n0,x,2\n", 4, "bad numeric field"),
             ("0,1\n0,1,2\n", 2, "expected 3 fields, got 2"),
+            ("", 2, "no data rows"),
         ],
     )
     def test_error_line_numbers(self, tmp_path, body, line, what):
@@ -152,6 +157,95 @@ class TestLogitFiles:
         p = write(tmp_path / "t.csv", "label,c0,c1\n0,x,2\n")
         with pytest.raises(ParseError):
             load_logits(p)
+
+
+def row_by_row_csv(scores, labels):
+    """The logit CSV text written one row and one float at a time."""
+    lines = ["label," + ",".join(f"c{i}" for i in range(scores.shape[1]))]
+    for i, row in enumerate(scores):
+        lab = "" if labels is None else str(int(labels[i]))
+        lines.append(lab + "," + ",".join("%.17g" % x for x in row))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def deep_csv(tmp_path, lineno, line, n=100_000):
+    """A 100k-row K=2 logit CSV whose line `lineno` is replaced by `line`."""
+    rows = [b"0,1,2\n"] * n
+    rows[lineno - 2] = line
+    return write_bytes(tmp_path / "deep.csv", b"label,c0,c1\n" + b"".join(rows))
+
+
+class TestLogitStreaming:
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
+    def test_bytes_at_block_edges(self, tmp_path, k, labelled):
+        step = max(1, LOGIT_BLOCK_FIELDS // (k + 1))
+        rng = np.random.default_rng(k)
+        path = tmp_path / "t.csv"
+        for n in (step - 1, step, step + 1, 2 * step + 1):
+            scores = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
+            scores[0, 0], scores[-1, -1] = -0.0, 5e-324
+            labels = rng.integers(0, k, n) if labelled else None
+            save_logits(str(path), LogitTable(scores), labels)
+            assert path.read_bytes() == row_by_row_csv(scores, labels), n
+            loaded = load_logits(str(path))
+            table = loaded.logits if labelled else loaded
+            assert np.array_equal(table.scores, scores)
+            assert np.array_equal(np.signbit(table.scores), np.signbit(scores))
+            if labelled:
+                assert np.array_equal(loaded.labels, labels)
+
+    def test_memory_is_table_plus_one_block(self, tmp_path):
+        # a whole-file text copy of this 16 MB table is about 38 MB
+        n, k = 20_000, 100
+        table = LogitTable(np.random.default_rng(0).normal(size=(n, k)))
+        path = str(tmp_path / "t.csv")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_logits(path, table, np.arange(n) % k)
+            save_peak = tracemalloc.get_traced_memory()[1] - base
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_logits(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert save_peak < 8e6
+        assert load_peak < 3 * table.scores.nbytes
+        assert np.array_equal(loaded.logits.scores, table.scores)
+
+    def test_not_utf8_on_last_line(self, tmp_path):
+        path = deep_csv(tmp_path, 100_001, b"1,0.5,\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path} is not UTF-8 text")):
+            load_logits(path)
+
+    @pytest.mark.parametrize("lineno, line, what", [
+        (90_001, b"\n", "expected 3 fields, got 1"),
+        (99_999, b"0,1\n", "expected 3 fields, got 2"),
+        (95_000, b"1.5,3,4\n", "bad label '1.5'"),
+        (100_001, b"0,1,x\n", "bad numeric field"),
+    ], ids=["blank", "ragged", "label", "numeric"])
+    def test_deep_errors_name_their_line(self, tmp_path, lineno, line, what):
+        path = deep_csv(tmp_path, lineno, line)
+        with pytest.raises(ParseError, match=f"^line {lineno}: {what}$"):
+            load_logits(path)
+
+    @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
+                             ids=["oserror", "interrupt"])
+    def test_failed_stream_leaves_target(self, tmp_path, exc):
+        target = tmp_path / "t.csv"
+        target.write_text("old\n")
+
+        def blocks():
+            yield "label,c0,c1\n"
+            yield "0,1,2\n" * 10_000
+            raise exc
+
+        with pytest.raises(type(exc)):
+            atomic_write_text(str(target), blocks())
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
 
 class TestPriorFiles:
@@ -325,6 +419,19 @@ class TestCliEstimate:
         assert code == 0
         assert "residual" in capsys.readouterr().out
         assert np.allclose(load_prior(out).prior.probs, 0.5)
+
+    @pytest.mark.parametrize("value", ["abc", "99999999999999999"])
+    def test_bad_source_date_epoch_exit_2(self, tmp_path, monkeypatch, capsys, value):
+        logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", value)
+        out = str(tmp_path / "prior.json")
+        assert main(["estimate", "--logits", logits, "--method", "m2", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "SOURCE_DATE_EPOCH" in err and repr(value) in err
+        # commands that write no prior do not read the variable
+        report = str(tmp_path / "r.json")
+        assert main(["evaluate", "--logits", logits, "--report", report]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l.csv", "r.json"]
 
     def test_m1_requires_labels(self, tmp_path, capsys):
         path = write(tmp_path / "l.csv", "label,c0,c1\n,1,2\n")
@@ -500,7 +607,7 @@ class TestCliEvaluate:
         logits = make_fixture_csv(tmp_path, "l.csv", rows, [0, 1])
         report = str(tmp_path / "r.json")
         assert main(["evaluate", "--logits", logits, "--report", report]) == 0
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         assert payload["top1_accuracy"] == 1.0
 
     def test_nine_one_fixture(self, tmp_path):
@@ -508,7 +615,7 @@ class TestCliEvaluate:
         logits = make_fixture_csv(tmp_path, "l.csv", rows, [0] * 9 + [1])
         report = str(tmp_path / "r.json")
         assert main(["evaluate", "--logits", logits, "--balanced", "--report", report]) == 0
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         assert payload["top1_accuracy"] == pytest.approx(0.9)
         assert payload["balanced_accuracy"] == pytest.approx(0.5)
 
@@ -529,7 +636,7 @@ class TestCliEvaluate:
         )
         assert code == 0
         assert "head" in capsys.readouterr().out
-        payload = json.loads(open(report).read())
+        payload = json.loads(Path(report).read_text())
         assert payload["metadata"]["groups"] == {
             "head": [0, 1],
             "medium": [2, 3],
@@ -570,9 +677,9 @@ class TestCliEvaluate:
         save_prior(prior, PriorDocument(prior=ProbabilitySimplex([0.7, 0.3])))
         report = str(tmp_path / "r.json")
         assert main(["evaluate", "--logits", logits, "--prior-p", prior, "--report", report]) == 0
-        payload = json.loads(open(report).read(), parse_constant=reject)
+        payload = json.loads(Path(report).read_text(), parse_constant=reject)
         assert payload["breakdown"] == {"head": None, "medium": 2 / 3, "tail": None}
-        json.loads(open(prior).read(), parse_constant=reject)
+        json.loads(Path(prior).read_text(), parse_constant=reject)
         bad = EvalReport(1.0, 1.0, np.ones(2), {"medium": 1.0}, 2, {"x": math.inf})
         with pytest.raises(ValueError):
             save_report(str(tmp_path / "bad.json"), bad)
@@ -608,7 +715,7 @@ class TestCliStudyAndSimulate:
         cfg = self._config(tmp_path)
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--estimator", "m2", "--out", out]) == 0
-        lines = open(out).read().strip().splitlines()
+        lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "n,mean_l1,std,bound"
         assert len(lines) == 3
 
@@ -617,7 +724,7 @@ class TestCliStudyAndSimulate:
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["study", "--config", cfg, "--estimator", "m2", "--out", a])
         main(["study", "--config", cfg, "--estimator", "m2", "--out", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_study_config_error_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps({"study": {"shots": [10]}}))
