@@ -165,8 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zs", required=True)
     p.add_argument("--prior-p", required=True)
     p.add_argument("--prior-s", required=True)
-    p.add_argument("--prior-t")
-    p.add_argument("--alpha", type=float)
+    # alpha_mix has no target-prior term, so a mix takes no --prior-t
+    mix = p.add_mutually_exclusive_group()
+    mix.add_argument("--prior-t")
+    mix.add_argument("--alpha", type=float)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ensemble)
 

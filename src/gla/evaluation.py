@@ -33,6 +33,30 @@ class EvalReport:
 
 
 @dataclass(frozen=True)
+class StudyOptions:
+    """The convergence study's one config shape: shot counts per class (kept
+    sorted), trials per count and the first trial's seed."""
+
+    shots: list = field(default_factory=lambda: [25, 100, 400, 1600])
+    trials: int = 5
+    base_seed: int = 0
+
+    def __post_init__(self):
+        try:
+            shots = sorted(as_int(n, f"shots[{i}]") for i, n in enumerate(self.shots))
+        except TypeError:
+            raise InvalidInput(f"shots must be a list of integers, got {self.shots!r}") from None
+        if not shots or shots[0] < 1:
+            raise InvalidInput(f"shots must be a nonempty list of counts >= 1, got {self.shots!r}")
+        if as_int(self.trials, "trials") < 1:
+            raise InvalidInput(f"trials must be >= 1, got {self.trials!r}")
+        if as_int(self.base_seed, "base_seed") < 0:
+            raise InvalidInput(f"base_seed must be nonnegative, got {self.base_seed!r}")
+        object.__setattr__(self, "shots", shots)
+        object.__setattr__(self, "base_seed", int(self.base_seed))
+
+
+@dataclass(frozen=True)
 class StudyRow:
     n: int
     mean_l1: float
@@ -82,7 +106,7 @@ def breakdown_groups(pi_p, k: int) -> dict:
     classes and medium absorbs the remainder.
     """
     arr = np.asarray(pi_p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != k:
+    if arr.ndim != 1 or arr.size != as_int(k, "k"):
         raise DimensionError(f"pi_p length {arr.size} != K {k}")
     order = np.argsort(-arr, kind="stable")
     third = k // 3
@@ -142,21 +166,16 @@ def run_convergence_study(
     estimator failures (a GlaError) are recorded as missing trials rather
     than aborting the study, and any other exception propagates.
     """
-    shots = sorted(as_int(s, f"shots[{i}]") for i, s in enumerate(shots))
-    if not shots:
-        raise InvalidInput("shots must be nonempty")
-    if as_int(trials, "trials") < 1:
-        raise InvalidInput("trials must be >= 1")
-    base_seed = as_int(base_seed, "base_seed")
+    opts = StudyOptions(shots, trials, base_seed)
     if estimator not in ESTIMATORS:
         raise InvalidInput(f"unknown estimator {estimator!r}")
     task = make_task(task_cfg)
     truth = task_cfg.pretrain_prior
     rows = []
-    for n in shots:
+    for n in opts.shots:
         errors = []
-        for trial in range(trials):
-            data = zero_shot_shots(task, n, seed=base_seed + trial)
+        for trial in range(opts.trials):
+            data = zero_shot_shots(task, n, seed=opts.base_seed + trial)
             try:
                 est = _estimate(estimator, data)
             except GlaError:
@@ -169,10 +188,10 @@ def run_convergence_study(
         else:
             rows.append(StudyRow(n, float("nan"), float("nan"), bound, 0))
     return ConvergenceStudy(
-        shots=shots,
-        trials=trials,
+        shots=opts.shots,
+        trials=opts.trials,
         rows=rows,
-        metadata={"estimator": estimator, "aggregate": "mean", "base_seed": base_seed},
+        metadata={"estimator": estimator, "aggregate": "mean", "base_seed": opts.base_seed},
     )
 
 

@@ -13,12 +13,12 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, fields as dc_fields
 
 import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
-from .evaluation import ESTIMATORS, EvalReport
+from .evaluation import ESTIMATORS, EvalReport, StudyOptions
 from .numerics import SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int
 from .synthlab import SyntheticTaskConfig
 
@@ -47,15 +47,6 @@ def atomic_write_text(path: str, text) -> None:
 
 def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[GlaError]) -> GlaError:
     return error(f"{path} is not UTF-8 text ({exc.reason})")
-
-
-def _read_text(path: str, error: type[GlaError]) -> str:
-    """A whole UTF-8 text file; other bytes raise `error` naming the file."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc, error) from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,10 +129,61 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
 
 
 # ---------------------------------------------------------------------------
-# Prior documents (JSON): k, probs, estimator, source_split, seed, created_at
+# Rules shared by the JSON documents.  Each raises the document's own error
+# class: ParseError for a prior file, ConfigError for a run config.
 # ---------------------------------------------------------------------------
 
-_PRIOR_KEYS = {"k", "probs", "estimator", "source_split", "seed", "created_at"}
+
+def _load_json(path: str, error: type[GlaError]):
+    """The JSON value in the UTF-8 text file `path`; other bytes or invalid
+    JSON raise `error` naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc, error) from None
+    except (ValueError, RecursionError) as exc:  # ValueError: an integer too long to convert
+        raise error(f"invalid JSON in {path}: {exc}") from None
+
+
+def _json_object(value, keys, error: type[GlaError], name: str = "") -> dict:
+    """`value` if it is a JSON object with no key outside `keys`; `name` is
+    its section ('task'), or empty at the top of a document."""
+    if not isinstance(value, dict):
+        raise error(f"{name or 'document'} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise error(f"unknown key {'.'.join(filter(None, (name, unknown[0])))!r}")
+    return value
+
+
+def _probability_vector(value, name: str, error: type[GlaError]) -> ProbabilitySimplex:
+    """A JSON list of numbers or numeric strings, no bools, summing to 1
+    within 1e-6.  Only a sum ProbabilitySimplex would reject is
+    renormalized, so priors written by save_prior load back bit for bit."""
+    try:
+        if not isinstance(value, list) or any(isinstance(x, bool) for x in value):
+            raise TypeError
+        probs = np.array([float(x) for x in value])
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{name} must be a list of numbers, got {value!r}") from None
+    total = float(probs.sum())
+    if not (np.all(probs >= 0) and abs(total - 1.0) <= 1e-6):
+        raise error(f"{name} is not a finite probability simplex (tolerance 1e-6)")
+    return ProbabilitySimplex(probs / total if abs(total - 1.0) > SIMPLEX_ATOL else probs)
+
+
+def _string(payload: dict, key: str, default: str, error: type[GlaError]) -> str:
+    value = payload.get(key, default)
+    if not isinstance(value, str):
+        raise error(f"{key} must be a JSON string, got {value!r}")
+    return value
+
+
+# ---------------------------------------------------------------------------
+# Prior documents: k, probs, estimator, source_split, seed, created_at
+# ---------------------------------------------------------------------------
+
 _PRIOR_ESTIMATORS = {*ESTIMATORS, "given"}
 
 
@@ -186,42 +228,25 @@ def save_prior(path: str, doc: PriorDocument) -> None:
 
 
 def load_prior(path: str) -> PriorDocument:
-    try:
-        payload = json.loads(_read_text(path, ParseError))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise ParseError("prior document must be a JSON object")
-    unknown = set(payload) - _PRIOR_KEYS
-    if unknown:
-        raise ParseError(f"unknown key {sorted(unknown)[0]!r}")
+    keys = ("k", "probs", "estimator", "source_split", "seed", "created_at")
+    payload = _json_object(_load_json(path, ParseError), keys, ParseError)
     try:
         k = as_int(payload["k"], "k")
-        seed = payload.get("seed")
-        seed = None if seed is None else as_int(seed, "seed")
-        probs = payload["probs"]
-        if not isinstance(probs, list) or any(isinstance(x, bool) for x in probs):
-            raise ParseError(f"probs must be a list of numbers, got {probs!r}")
-        probs = np.asarray([float(x) for x in probs])
-    except (InvalidInput, KeyError, TypeError, ValueError) as exc:
+        seed = None if payload.get("seed") is None else as_int(payload["seed"], "seed")
+        prior = _probability_vector(payload["probs"], "probs", ParseError)
+    except (InvalidInput, KeyError) as exc:
         raise ParseError(f"bad prior document: {exc}") from None
-    if probs.size != k:
-        raise ParseError(f"probs length {probs.size} != k {k}")
-    if not (np.all(probs >= 0) and abs(float(probs.sum()) - 1.0) <= 1e-6):
-        raise ParseError("probs is not a finite probability simplex (tolerance 1e-6)")
-    total = float(probs.sum())
-    # renormalize only what ProbabilitySimplex would reject, so that priors
-    # written by save_prior load back bit for bit
-    prior = ProbabilitySimplex(probs / total if abs(total - 1.0) > SIMPLEX_ATOL else probs)
-    estimator = payload.get("estimator", "given")
+    if prior.k != k:
+        raise ParseError(f"probs length {prior.k} != k {k}")
+    estimator = _string(payload, "estimator", "given", ParseError)
     if estimator not in _PRIOR_ESTIMATORS:
         raise ParseError(f"unknown estimator {estimator!r}")
     return PriorDocument(
         prior=prior,
         estimator=estimator,
-        source_split=str(payload.get("source_split", "")),
+        source_split=_string(payload, "source_split", "", ParseError),
         seed=seed,
-        created_at=str(payload.get("created_at", "")),
+        created_at=_string(payload, "created_at", "", ParseError),
     )
 
 
@@ -244,24 +269,9 @@ def save_report(path: str, report: EvalReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Run configuration (JSON), mirroring the task and study config types.
-# Unknown keys are rejected with the offending key named.
+# Run configuration (JSON): sections `task` and `study`, keyed by the fields
+# of SyntheticTaskConfig and StudyOptions, which check their own values.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StudyOptions:
-    shots: list = field(default_factory=lambda: [25, 100, 400, 1600])
-    trials: int = 5
-    base_seed: int = 0
-
-    def __post_init__(self):
-        if not self.shots or min(self.shots) < 1:
-            raise InvalidInput(f"study.shots must be a nonempty list of counts >= 1, got {self.shots!r}")
-        if self.trials < 1:
-            raise InvalidInput(f"study.trials must be >= 1, got {self.trials!r}")
-        if self.base_seed < 0:
-            raise InvalidInput(f"study.base_seed must be nonnegative, got {self.base_seed!r}")
 
 
 @dataclass(frozen=True)
@@ -270,64 +280,28 @@ class RunConfig:
     study: StudyOptions = StudyOptions()
 
 
-_TOP_KEYS = {"task", "study"}
-_INT_KEYS = {"k", "dim", "seed", "trials", "base_seed"}
-
-
-def _build_section(cls, payload: dict, section: str, transform=None):
-    if not isinstance(payload, dict):
-        raise ConfigError(f"section {section!r} must be an object")
-    allowed = {f.name for f in dc_fields(cls)}
-    unknown = set(payload) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key {section + '.' + sorted(unknown)[0]!r}")
-    shots = payload.get("shots", [])
-    if not isinstance(shots, list):
-        raise ConfigError(f"{section}.shots must be a list of integers, got {shots!r}")
-    ints = [(key, payload[key]) for key in sorted(_INT_KEYS & payload.keys())]
-    kwargs = dict(payload)
-    if transform:
-        kwargs = transform(kwargs)
-    try:
-        for key, value in ints + [(f"shots[{i}]", n) for i, n in enumerate(shots)]:
-            as_int(value, f"{section}.{key}")
-        return cls(**kwargs)
-    except (InvalidInput, TypeError) as exc:
-        raise ConfigError(f"bad section {section!r}: {exc}") from None
-
-
-def _task_transform(kwargs: dict) -> dict:
+def _build_section(cls, value, name: str):
+    kwargs = dict(_json_object(value, [f.name for f in dc_fields(cls)], ConfigError, name))
     for key in ("pretrain_prior", "source_prior"):
         if key in kwargs:
-            try:
-                kwargs[key] = ProbabilitySimplex(np.asarray(kwargs[key], dtype=np.float64))
-            except InvalidInput as exc:
-                raise ConfigError(f"bad task.{key}: {exc}") from None
-    return kwargs
+            kwargs[key] = _probability_vector(kwargs[key], f"{name}.{key}", ConfigError)
+    try:
+        return cls(**kwargs)
+    except InvalidInput as exc:
+        # each check of the config types names its field first ("trials must be >= 1")
+        raise ConfigError(f"bad section {name!r}: {name}.{exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"bad section {name!r}: {exc}") from None
 
 
-def parse_run_config(payload: dict) -> RunConfig:
-    if not isinstance(payload, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(payload) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown key {sorted(unknown)[0]!r}")
-    kwargs = {}
-    if "task" in payload:
-        kwargs["task"] = _build_section(
-            SyntheticTaskConfig, payload["task"], "task", _task_transform
-        )
-    if "study" in payload:
-        kwargs["study"] = _build_section(StudyOptions, payload["study"], "study")
-    return RunConfig(**kwargs)
+def parse_run_config(payload) -> RunConfig:
+    sections = {"task": SyntheticTaskConfig, "study": StudyOptions}
+    payload = _json_object(payload, sections, ConfigError)
+    return RunConfig(**{name: _build_section(sections[name], value, name) for name, value in payload.items()})
 
 
 def load_run_config(path: str) -> RunConfig:
-    try:
-        payload = json.loads(_read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    return parse_run_config(payload)
+    return parse_run_config(_load_json(path, ConfigError))
 
 
 def save_study_csv(path: str, study) -> None:

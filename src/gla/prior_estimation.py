@@ -24,6 +24,7 @@ from .numerics import (
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
+    as_int,
     softmax_matrix,
     softmax_row,
 )
@@ -205,9 +206,9 @@ def m2_error_bound(k: int, n_per_class: int, delta: float) -> float:
 
     The unobservable population constant factor is reported as 1.
     """
-    if k < 2:
+    if as_int(k, "k") < 2:
         raise InvalidInput("k must be >= 2")
-    if n_per_class < 1:
+    if as_int(n_per_class, "n_per_class") < 1:
         raise InvalidInput("n_per_class must be >= 1")
     if not 0.0 < delta < 1.0:
         raise InvalidInput("delta must lie in (0, 1)")

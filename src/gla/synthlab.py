@@ -49,8 +49,9 @@ class SyntheticTaskConfig:
             raise InvalidInput("dim must be >= 1")
         if not self.mean_separation >= 0.0:
             raise InvalidInput("mean_separation must be nonnegative")
-        if self.pretrain_prior.k != self.k or self.source_prior.k != self.k:
-            raise InvalidInput("priors must have length k")
+        for name in ("pretrain_prior", "source_prior"):
+            if getattr(self, name).k != self.k:
+                raise InvalidInput(f"{name} must have length k")
         if self.seed < 0:
             raise InvalidInput("seed must be nonnegative")
 
@@ -105,6 +106,8 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     Here a row's logits are the same bits whether it is scored alone or
     with any other rows, which label-shift faithfulness needs.
     """
+    if view not in (1, 2):
+        raise InvalidInput(f"view must be 1 or 2, got {view!r}")
     means = task.means_view1 if view == 1 else task.means_view2
     scores = np.einsum("nd,kd->nk", x, means)
     scores -= np.einsum("nd,nd->n", x, x)[:, None] / 2.0

@@ -218,6 +218,8 @@ class TestConvergenceStudy:
                 run_convergence_study(cfg, "m2", **args)
         study = run_convergence_study(cfg, "m2", np.array([10, 20]), np.int64(2), base_seed=np.int32(3))
         assert study.shots == [10, 20] and study.metadata["base_seed"] == 3
+        with pytest.raises(InvalidInput, match="k must be an integer"):
+            breakdown_groups(np.zeros(3), 3.0)
 
     def test_m2_slope(self):
         cfg = SyntheticTaskConfig(

@@ -326,6 +326,49 @@ def test_not_utf8_is_named_error(tmp_path, kind, load, error):
         load(path)
 
 
+MALFORMED_PROBS = {
+    "string": '"ab"',
+    "non-number": '["x", 1]',
+    "object": '{"a": 1}',
+    "bools": "[true, false]",
+    "nested": "[[0.5, 0.5]]",
+}
+
+
+@pytest.mark.parametrize("kind, body, key", [
+    *[pytest.param("config", f'{{"task": {{"k": 2, "pretrain_prior": {value}}}}}', "task.pretrain_prior",
+                   id=f"config-{name}") for name, value in MALFORMED_PROBS.items()],
+    *[pytest.param("prior", f'{{"k": 2, "probs": {value}}}', "probs", id=f"prior-{name}")
+      for name, value in MALFORMED_PROBS.items()],
+    *[pytest.param("prior", f'{{"k": 2, "probs": [0.5, 0.5], "{key}": {value}}}', key, id=f"prior-{key}-{value}")
+      for key in ("source_split", "created_at") for value in ("5", "null", '{"a": 1}')],
+    # past the decoder's limits: an integer over 4300 digits, nesting past the recursion limit
+    *[pytest.param(kind, body, "invalid JSON", id=f"{kind}-{name}") for kind in ("config", "prior")
+      for name, body in (("long-int", "[1" + "0" * 5000 + "]"), ("deep", "[" * 100_000 + "]" * 100_000))],
+])
+def test_malformed_document_is_named_error(tmp_path, capsys, kind, body, key):
+    """Run configs fail with exit code 2 and prior files with exit code 1,
+    naming the key and writing nothing."""
+    doc = write(tmp_path / "doc.json", body)
+    out = str(tmp_path / "out.csv")
+    if kind == "config":
+        runs = [["simulate", "--config", doc, "--out-zs", out, "--out-ft", str(tmp_path / "ft.csv"), "--n", "4"],
+                ["study", "--config", doc, "--estimator", "m2", "--out", out]]
+        code = 2
+    else:
+        logits = make_fixture_csv(tmp_path, "l.csv", [[1.0, 2.0]], [0])
+        ps = str(tmp_path / "ps.json")
+        save_prior(ps, PriorDocument(prior=ProbabilitySimplex([0.5, 0.5])))
+        runs = [["ensemble", "--ft", logits, "--zs", logits, "--prior-p", doc, "--prior-s", ps, "--out", out]]
+        code = 1
+    inputs = sorted(tmp_path.iterdir())
+    for argv in runs:
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 class TestRunConfig:
     def test_defaults(self):
         cfg = parse_run_config({})
@@ -574,6 +617,18 @@ class TestCliEnsemble:
         argv = ["ensemble", "--ft", ft, "--zs", zs, "--prior-p", pp, "--prior-s", ps, "--out", out]
         assert main(argv + ["--floor", "1e-6"]) == 2
         assert "--floor" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_alpha_with_prior_t_exit_2(self, tmp_path, capsys):
+        # alpha_mix has no target-prior term, so it would ignore --prior-t
+        ft = make_fixture_csv(tmp_path, "ft.csv", [[1.0, 2.0]], [0])
+        zs = make_fixture_csv(tmp_path, "zs.csv", [[0.5, 0.5]], [0])
+        pp, ps = self._priors(tmp_path)
+        out = str(tmp_path / "out.csv")
+        argv = ["ensemble", "--ft", ft, "--zs", zs, "--prior-p", pp, "--prior-s", ps, "--out", out]
+        assert main(argv + ["--alpha", "0.5", "--prior-t", ps]) == 2
+        err = capsys.readouterr().err
+        assert "--alpha" in err and "--prior-t" in err
         assert not (tmp_path / "out.csv").exists()
 
     def test_label_disagreement(self, tmp_path, capsys):

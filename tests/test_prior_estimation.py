@@ -327,3 +327,7 @@ class TestM2ErrorBound:
             m2_error_bound(2, 0, 0.05)
         with pytest.raises(InvalidInput):
             m2_error_bound(2, 10, 1.5)
+        with pytest.raises(InvalidInput, match="k must be an integer"):
+            m2_error_bound(2.5, 10, 0.05)
+        with pytest.raises(InvalidInput, match="n_per_class must be an integer"):
+            m2_error_bound(3, 1.5, 0.05)

@@ -194,6 +194,12 @@ class TestClassLogLikelihoods:
             err = np.abs(class_log_likelihoods(task, x, view=view) - oracle)
             assert np.all(err <= 1e-12 * scale), f"view {view}: worst {np.max(err / scale):.2e}"
 
+    @pytest.mark.parametrize("view", [0, 3, "1"])
+    def test_rejects_unknown_view(self, view):
+        task = make_task(SyntheticTaskConfig(k=3, seed=1))
+        with pytest.raises(InvalidInput, match="view must be 1 or 2"):
+            class_log_likelihoods(task, np.zeros((4, 2)), view=view)
+
 
 class TestSampleShots:
     def test_k1000_fits_in_memory(self):
