@@ -161,9 +161,11 @@ def run_convergence_study(
     function of the per-class shot count, alongside the theoretical bound
     at confidence 1 - STUDY_DELTA.
 
-    Each (N, trial) cell draws only the zero-shot view of the balanced
-    N-shot batch with seed base_seed + trial, the one view estimators read;
-    estimator failures (a GlaError) are recorded as missing trials rather
+    Each trial draws only the zero-shot view, the one view estimators read,
+    of the balanced batch with seed base_seed + trial, once, at the largest
+    shot count.  Every smaller count N takes the first N rows of each class
+    block of that draw, which is zero_shot_shots(task, N, seed) bit for bit.
+    Estimator failures (a GlaError) are recorded as missing trials rather
     than aborting the study, and any other exception propagates.
     """
     opts = StudyOptions(shots, trials, base_seed)
@@ -171,20 +173,25 @@ def run_convergence_study(
         raise InvalidInput(f"unknown estimator {estimator!r}")
     task = make_task(task_cfg)
     truth = task_cfg.pretrain_prior
-    rows = []
-    for n in opts.shots:
-        errors = []
-        for trial in range(opts.trials):
-            data = zero_shot_shots(task, n, seed=opts.base_seed + trial)
+    k, n_max = task_cfg.k, opts.shots[-1]
+    errors = [[] for _ in opts.shots]
+    for trial in range(opts.trials):
+        full = zero_shot_shots(task, n_max, seed=opts.base_seed + trial)
+        blocks = full.logits.scores.reshape(k, n_max, k)
+        for n, cell_errors in zip(opts.shots, errors):
+            labels = np.repeat(np.arange(k, dtype=np.int64), n)
+            data = LabelledLogits(LogitTable(blocks[:, :n].reshape(k * n, k)), labels)
             try:
                 est = _estimate(estimator, data)
             except GlaError:
                 continue
-            errors.append(l1_distance(est, truth))
-        bound = m2_error_bound(task_cfg.k, n, STUDY_DELTA)
-        if errors:
-            arr = np.asarray(errors)
-            rows.append(StudyRow(n, float(arr.mean()), float(arr.std()), bound, len(errors)))
+            cell_errors.append(l1_distance(est, truth))
+    rows = []
+    for n, cell_errors in zip(opts.shots, errors):
+        bound = m2_error_bound(k, n, STUDY_DELTA)
+        if cell_errors:
+            arr = np.asarray(cell_errors)
+            rows.append(StudyRow(n, float(arr.mean()), float(arr.std()), bound, len(cell_errors)))
         else:
             rows.append(StudyRow(n, float("nan"), float("nan"), bound, 0))
     return ConvergenceStudy(

@@ -88,6 +88,21 @@ def _checked_rows(fh, k: int):
         raise ParseError("no data rows", line=2)
 
 
+def _score_columns(data: np.ndarray) -> np.ndarray:
+    """The N x K score columns of loadtxt's N x (K+1) result, compacted in
+    place, a block of rows at a time, into a contiguous prefix of its own
+    buffer: the load holds one table plus one block, not two tables.  Row
+    i's scores move down to row i * K of the flat buffer, never past rows
+    still unread."""
+    n, k = data.shape[0], data.shape[1] - 1
+    flat = data.reshape(-1)
+    step = max(1, LOGIT_BLOCK_FIELDS // (k + 1))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        flat[start * k:stop * k].reshape(stop - start, k)[...] = data[start:stop, 1:]
+    return flat[:n * k].reshape(n, k)
+
+
 def load_logits(path: str) -> LabelledLogits | LogitTable:
     """Parse a logit CSV.  A fully labelled file yields LabelledLogits; any
     empty-label row degrades the whole file to an unlabelled LogitTable
@@ -116,7 +131,7 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
                 raise ParseError(f"bad label {row.split(',', 1)[0]!r}", line=lineno) from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, ParseError) from None
-    labels, table = data[:, 0], LogitTable(data[:, 1:])
+    labels, table = data[:, 0].copy(), LogitTable(_score_columns(data))
     bad = np.flatnonzero((labels < 0) | (labels >= k))
     if bad.size:
         raise ParseError(f"label {int(labels[bad[0]])} out of range [0, {k})", line=int(bad[0]) + 2)
@@ -290,8 +305,6 @@ def _build_section(cls, value, name: str):
     except InvalidInput as exc:
         # each check of the config types names its field first ("trials must be >= 1")
         raise ConfigError(f"bad section {name!r}: {name}.{exc}") from None
-    except TypeError as exc:
-        raise ConfigError(f"bad section {name!r}: {exc}") from None
 
 
 def parse_run_config(payload) -> RunConfig:

@@ -129,11 +129,25 @@ class LabelledLogits:
 
 
 def softmax_matrix(scores: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of an N x K array (internal helper)."""
+    """Row-wise stable softmax of an N x K array (internal helper).  The
+    shifted scores are exponentiated and normalized in place, so the result
+    is the one N x K temporary."""
     scores = np.asarray(scores, dtype=np.float64)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def class_blocks(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices grouped by label and the K+1 block bounds: the rows of
+    class c are order[bounds[c]:bounds[c + 1]], in increasing order, as
+    np.nonzero(labels == c) would give them.  One stable sort (a radix sort
+    on labels narrowed to the smallest unsigned type), not K label scans."""
+    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    bounds = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
+    return order, bounds
 
 
 def softmax_row(v) -> ProbabilitySimplex:

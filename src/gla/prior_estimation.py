@@ -25,6 +25,7 @@ from .numerics import (
     LogitTable,
     ProbabilitySimplex,
     as_int,
+    class_blocks,
     softmax_matrix,
     softmax_row,
 )
@@ -59,13 +60,14 @@ class TransitionMatrix:
 def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
     """Average the softmax predictions per labelled class into matrix columns."""
     k = data.n_classes
+    order, bounds = class_blocks(data.labels, k)
+    missing = np.flatnonzero(bounds[1:] == bounds[:-1])
+    if missing.size:
+        raise MissingClassError(int(missing[0]))
     probs = softmax_matrix(data.logits.scores)
     cols = np.empty((k, k))
     for j in range(k):
-        mask = data.labels == j
-        if not mask.any():
-            raise MissingClassError(j)
-        cols[:, j] = probs[mask].mean(axis=0)
+        cols[:, j] = probs[order[bounds[j]:bounds[j + 1]]].mean(axis=0)
     return TransitionMatrix(cols)
 
 
@@ -143,18 +145,23 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     # class-major (K x N): a reduction over classes is K vector passes, not N short ones
     scores = np.ascontiguousarray(validation.logits.scores.T)
     cols = np.arange(labels.size)
+    # the fit's only K x N arrays besides `scores`: the current log-posteriors,
+    # a line search's trial, and scratch for exponentials
+    current, trial_buf, scratch = (np.empty_like(scores) for _ in range(3))
 
-    def risk(u):
-        logp = scores + u[:, None]
+    def risk(u, logp):
+        """The risk at u; the log-posteriors are left in `logp`."""
+        np.add(scores, u[:, None], out=logp)
         logp -= logp.max(axis=0)
-        logp -= np.log(np.exp(logp).sum(axis=0))
+        logp -= np.log(np.exp(logp, out=scratch).sum(axis=0))
         value = float(-np.mean(logp[labels, cols]))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
-        return value, logp
+        return value
 
-    def search(u, value, grad, direction):
-        """Armijo backtracking along -direction; None if nothing decreases.
+    def search(u, value, grad, direction, logp):
+        """Armijo backtracking along -direction, each trial's log-posteriors
+        written to `logp`; None if nothing decreases.
 
         A rise within the risk's float resolution is accepted: near the
         optimum the predicted decrease falls below it, and a strict test
@@ -165,16 +172,16 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         t = 1.0
         for _ in range(40):
             trial = u - t * direction
-            trial_value, trial_logp = risk(trial)
+            trial_value = risk(trial, logp)
             if trial_value <= value - 1e-4 * t * slope + slack:
-                return trial_value, trial, trial_logp
+                return trial_value, trial, logp
             t *= 0.5
         return None
 
     u = np.zeros(k)
-    value, logp = risk(u)
+    value = risk(u, current)
     for _ in range(M1_MAX_ITERS):
-        probs = np.exp(logp)
+        probs = np.exp(current, out=scratch)
         mean = probs.mean(axis=1)
         grad = mean - freq
         norm = float(np.abs(grad).sum())
@@ -185,12 +192,18 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         hess = np.diag(mean + norm * norm) - probs @ probs.T / labels.size + 1.0 / k
         newton = np.linalg.solve(hess, grad)
         # log of the mean prediction, without underflow for unpredicted classes
-        top = logp.max(axis=1)
-        scaling = top + np.log(np.exp(logp - top[:, None]).mean(axis=1)) - np.log(freq)
-        found = [r for r in (search(u, value, grad, d) for d in (newton, scaling)) if r]
+        top = current.max(axis=1)
+        shifted = np.subtract(current, top[:, None], out=scratch)
+        scaling = top + np.log(np.exp(shifted, out=scratch).mean(axis=1)) - np.log(freq)
+        # `current` is dead once both directions are formed: the scaling
+        # search writes its trials there
+        found = [r for r in (search(u, value, grad, newton, trial_buf),
+                             search(u, value, grad, scaling, current)) if r]
         if not found:
             break  # no decrease left at float precision
         value, u, logp = min(found, key=lambda r: r[0])
+        if logp is trial_buf:
+            current, trial_buf = trial_buf, current
     return softmax_row(-u)
 
 

@@ -11,17 +11,28 @@ label, so their predictions are conditionally independent by construction.
 
 Per-class sub-seeding guarantees label-shift faithfulness: changing the
 sampling prior changes only how many draws each class contributes, never
-the class-conditional feature stream itself.
+the class-conditional feature stream itself.  The same streams give the
+prefix property: a seed's balanced n-shot batch is, bit for bit, the first
+n rows of every class block of that seed's batch at any larger shot count,
+which lets the convergence study share one draw per trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .numerics import LabelledLogits, LogitTable, ProbabilitySimplex, as_int, log_prior
+from .numerics import (
+    LabelledLogits,
+    LogitTable,
+    ProbabilitySimplex,
+    as_int,
+    class_blocks,
+    log_prior,
+)
 
 _LABEL_STREAM = 0
 _VIEW_STREAMS = (1, 2)
@@ -47,7 +58,14 @@ class SyntheticTaskConfig:
             raise InvalidInput("k must be >= 2")
         if self.dim < 1:
             raise InvalidInput("dim must be >= 1")
-        if not self.mean_separation >= 0.0:
+        sep = self.mean_separation
+        try:
+            finite = not isinstance(sep, (bool, np.bool_)) and math.isfinite(sep)
+        except (TypeError, OverflowError):  # not a number, or an int past float range
+            finite = False
+        if not finite:
+            raise InvalidInput(f"mean_separation must be a finite real number, got {sep!r}")
+        if not sep >= 0.0:
             raise InvalidInput("mean_separation must be nonnegative")
         for name in ("pretrain_prior", "source_prior"):
             if getattr(self, name).k != self.k:
@@ -123,8 +141,9 @@ def _sample_view(
     cfg = task.cfg
     means = task.means_view1 if view == 1 else task.means_view2
     x = np.empty((labels.size, cfg.dim))
+    order, bounds = class_blocks(labels, cfg.k)
     for c in range(cfg.k):
-        idx = np.nonzero(labels == c)[0]
+        idx = order[bounds[c]:bounds[c + 1]]
         if idx.size == 0:
             continue
         rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
@@ -157,7 +176,10 @@ def sample_batch(
 
 def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> LabelledLogits:
     """The zero-shot view of `sample_shots(task, n_per_class, seed)`, bit for
-    bit, without drawing the fine-tuned view."""
+    bit, without drawing the fine-tuned view.  Rows are class-major, and the
+    batch at n is the first n rows of each class block of the batch at any
+    larger count with the same seed, which the convergence study relies on
+    to share one draw per trial."""
     if as_int(n_per_class, "n_per_class") < 1:
         raise InvalidInput("n_per_class must be >= 1")
     if as_int(seed, "seed") < 0:

@@ -12,8 +12,9 @@ from gla.evaluation import (
     run_convergence_study,
     top1_error,
 )
-from gla.numerics import LogitTable, ProbabilitySimplex
-from gla.synthlab import SyntheticTaskConfig
+from gla.numerics import LogitTable, ProbabilitySimplex, l1_distance
+from gla.prior_estimation import m2_error_bound
+from gla.synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
 
 def one_hot_logits(labels, k):
@@ -194,6 +195,41 @@ class TestConvergenceStudy:
         monkeypatch.setattr(gla.evaluation, "estimate_prior_m2", flaky)
         study = run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
         assert study.rows[0].n_ok == 2
+
+    @pytest.mark.parametrize("estimator, fail_first", [("m1", False), ("m2", False), ("naive", False),
+                                                        ("m2", True), ("m1", True)])
+    def test_rows_equal_per_cell_reference(self, monkeypatch, estimator, fail_first):
+        """One draw per trial gives the rows of a fresh draw per cell, exactly;
+        a GlaError on the first estimator call drops that one trial."""
+        k, shots, trials, base_seed = 5, [30, 4, 12, 30], 3, 21
+        cfg = SyntheticTaskConfig(k=k, dim=3, mean_separation=2.5, seed=8,
+                                  pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
+        name = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}[estimator]
+        original = getattr(gla.evaluation, name)
+        calls = []
+
+        def flaky(*args, **kwargs):
+            calls.append(args[0])
+            if fail_first and len(calls) == 1:
+                raise OptimizationError("injected")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(gla.evaluation, name, flaky)
+        study = run_convergence_study(cfg, estimator, shots, trials, base_seed=base_seed)
+        # the first call is the first trial at the smallest count, as with a draw per cell
+        assert calls[0].n_examples == k * 4
+        task = make_task(cfg)
+        for row, n in zip(study.rows, sorted(shots)):
+            errors = []
+            for trial in range(trials):
+                data = zero_shot_shots(task, n, seed=base_seed + trial)
+                if fail_first and n == 4 and trial == 0:
+                    continue
+                est = original(data.logits if estimator == "naive" else data)
+                errors.append(l1_distance(est, cfg.pretrain_prior))
+            arr = np.asarray(errors)
+            assert (row.n, row.mean_l1, row.std, row.bound, row.n_ok) == (
+                n, float(arr.mean()), float(arr.std()), m2_error_bound(k, n, 0.05), len(errors))
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

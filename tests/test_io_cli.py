@@ -215,6 +215,23 @@ class TestLogitStreaming:
         assert load_peak < 3 * table.scores.nbytes
         assert np.array_equal(loaded.logits.scores, table.scores)
 
+    def test_load_holds_one_table(self, tmp_path):
+        # the score columns are compacted inside loadtxt's N x (K+1) result
+        n, k = 20_000, 100
+        table = LogitTable(np.random.default_rng(1).normal(size=(n, k)))
+        path = str(tmp_path / "t.csv")
+        save_logits(path, table, np.arange(n) % k)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loaded = load_logits(path)
+            load_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert load_peak <= 1.3 * table.scores.nbytes
+        assert np.array_equal(loaded.logits.scores, table.scores)
+        assert np.array_equal(loaded.labels, np.arange(n) % k)
+
     def test_not_utf8_on_last_line(self, tmp_path):
         path = deep_csv(tmp_path, 100_001, b"1,0.5,\xff\n")
         with pytest.raises(ParseError, match=re.escape(f"{path} is not UTF-8 text")):
@@ -342,6 +359,10 @@ MALFORMED_PROBS = {
       for name, value in MALFORMED_PROBS.items()],
     *[pytest.param("prior", f'{{"k": 2, "probs": [0.5, 0.5], "{key}": {value}}}', key, id=f"prior-{key}-{value}")
       for key in ("source_split", "created_at") for value in ("5", "null", '{"a": 1}')],
+    # not a finite real number: a bool, null, a string, an infinity, NaN, an int past float range
+    *[pytest.param("config", f'{{"task": {{"k": 2, "mean_separation": {value}}}}}', "task.mean_separation",
+                   id=f"config-mean_separation-{value[:10]}")
+      for value in ("true", "null", '"x"', "Infinity", "-Infinity", "NaN", "1" + "0" * 400)],
     # past the decoder's limits: an integer over 4300 digits, nesting past the recursion limit
     *[pytest.param(kind, body, "invalid JSON", id=f"{kind}-{name}") for kind in ("config", "prior")
       for name, body in (("long-int", "[1" + "0" * 5000 + "]"), ("deep", "[" * 100_000 + "]" * 100_000))],

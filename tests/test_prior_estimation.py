@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gla.errors import IdentifiabilityError, InvalidInput, MissingClassError
-from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance
+from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance, softmax_matrix
 from gla import prior_estimation
 from gla.prior_estimation import (
     TransitionMatrix,
@@ -15,7 +16,7 @@ from gla.prior_estimation import (
     m2_error_bound,
     power_iterate,
 )
-from gla.synthlab import SyntheticTaskConfig, make_task, sample_shots
+from gla.synthlab import SyntheticTaskConfig, make_task, sample_shots, zero_shot_shots
 
 
 def logits_for_probs(rows):
@@ -61,6 +62,26 @@ class TestTransitionMatrix:
         with pytest.raises(MissingClassError) as exc:
             build_transition_matrix(data)
         assert exc.value.class_index == 1
+
+    @pytest.mark.parametrize("k, n", [(2, 9), (3, 40), (10, 1000), (300, 3000)])
+    def test_shuffled_labels_match_mask_mean_oracle(self, k, n):
+        rng = np.random.default_rng(k)
+        labels = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+        rng.shuffle(labels)
+        data = LabelledLogits(LogitTable(rng.normal(size=(n, k)) * 4.0), labels)
+        probs = softmax_matrix(data.logits.scores)
+        oracle = np.stack([probs[labels == j].mean(axis=0) for j in range(k)], axis=1)
+        assert np.array_equal(build_transition_matrix(data).entries, oracle)
+
+    @pytest.mark.parametrize("missing", [[0], [3], [1, 4], [2, 3, 5]])
+    def test_names_lowest_missing_class(self, missing):
+        rng = np.random.default_rng(len(missing))
+        present = [c for c in range(6) if c not in missing]
+        labels = rng.permutation(np.repeat(present, 3))
+        data = LabelledLogits(LogitTable(rng.normal(size=(labels.size, 6))), labels)
+        with pytest.raises(MissingClassError) as exc:
+            build_transition_matrix(data)
+        assert exc.value.class_index == missing[0]
 
     def test_columns_stochastic_for_random_input(self):
         rng = np.random.default_rng(5)
@@ -331,3 +352,34 @@ class TestM2ErrorBound:
             m2_error_bound(2.5, 10, 0.05)
         with pytest.raises(InvalidInput, match="n_per_class must be an integer"):
             m2_error_bound(3, 1.5, 0.05)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestEstimatorMemory:
+    """Peak allocations in units of one K x N table, at K=100 and 200 shots."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        k = 100
+        cfg = SyntheticTaskConfig(k=k, dim=32, mean_separation=3.0, seed=3,
+                                  pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
+        return zero_shot_shots(make_task(cfg), 200, seed=4)
+
+    def test_m1_holds_four_tables(self, data):
+        # the class-major scores and three reused buffers
+        assert traced_peak(estimate_prior_m1, data) <= 4.5 * data.logits.scores.nbytes
+
+    def test_m2_holds_one_table(self, data):
+        assert traced_peak(estimate_prior_m2, data) <= 1.5 * data.logits.scores.nbytes
+
+    def test_naive_holds_one_table(self, data):
+        assert traced_peak(estimate_prior_naive, data.logits) <= 1.5 * data.logits.scores.nbytes

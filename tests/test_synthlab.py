@@ -65,6 +65,15 @@ class TestIntegerArguments:
         with pytest.raises(InvalidInput, match=f"{field} must be an integer"):
             SyntheticTaskConfig(**{"k": 3, field: value})
 
+    @pytest.mark.parametrize("value", [True, np.True_, None, "2", [2.0], 1j, np.inf, -np.inf, np.nan, 10**400])
+    def test_mean_separation_is_a_finite_real(self, value):
+        with pytest.raises(InvalidInput, match="mean_separation must be a finite real number"):
+            SyntheticTaskConfig(k=3, mean_separation=value)
+
+    @pytest.mark.parametrize("value", [0, 3, 2.5, np.float32(1.5), np.int64(2)])
+    def test_mean_separation_accepts_reals(self, value):
+        assert SyntheticTaskConfig(k=3, mean_separation=value).mean_separation == value
+
     def test_config_accepts_numpy_ints(self):
         cfg = SyntheticTaskConfig(k=np.int64(3), dim=np.int32(2), seed=np.uint8(4))
         assert cfg.pretrain_prior.k == 3
@@ -235,6 +244,23 @@ class TestSampleShots:
         b = sample_shots(task, shots, seed=33).labelled_zs()
         assert a.logits.scores.tobytes() == b.logits.scores.tobytes()
         assert np.array_equal(a.labels, b.labels)
+
+    @pytest.mark.parametrize("k, dim, shots", [(2, 2, 40), (7, 3, 30), (50, 16, 6)])
+    def test_smaller_batch_is_the_per_class_prefix(self, k, dim, shots):
+        # the convergence study cuts every smaller shot count out of one draw
+        cfg = SyntheticTaskConfig(k=k, dim=dim, mean_separation=3.0, pretrain_prior=skewed(k, k),
+                                  source_prior=skewed(k, k + 1), seed=k)
+        task = make_task(cfg)
+        full = sample_shots(task, shots, seed=34)
+        for n in (1, 2, shots // 2, shots - 1):
+            part = sample_shots(task, n, seed=34)
+            zs = zero_shot_shots(task, n, seed=34)
+            for view, table in (("zs", part.zs_logits), ("ft", part.ft_logits), ("zero_shot_shots", zs.logits)):
+                whole = (full.ft_logits if view == "ft" else full.zs_logits).scores
+                prefix = whole.reshape(k, shots, k)[:, :n].reshape(k * n, k)
+                assert table.scores.tobytes() == prefix.tobytes(), (view, n)
+            assert np.array_equal(part.labels, full.labels.reshape(k, shots)[:, :n].ravel())
+            assert np.array_equal(zs.labels, part.labels)
 
 
 def batch_digest(batch):
