@@ -131,7 +131,14 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
                 raise ParseError(f"bad label {row.split(',', 1)[0]!r}", line=lineno) from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, ParseError) from None
-    labels, table = data[:, 0].copy(), LogitTable(_score_columns(data))
+    labels, scores = data[:, 0].copy(), _score_columns(data)
+    try:
+        table = LogitTable(scores)
+    except InvalidInput:
+        # the header and row checks leave a non-finite score as the one reason;
+        # only a rejected table pays for the search
+        row = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
+        raise ParseError("non-finite score", line=row + 2) from None
     bad = np.flatnonzero((labels < 0) | (labels >= k))
     if bad.size:
         raise ParseError(f"label {int(labels[bad[0]])} out of range [0, {k})", line=int(bad[0]) + 2)

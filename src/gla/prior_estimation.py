@@ -3,7 +3,10 @@
 Three routes are provided:
 
 * a minimization of the risk of the debiased zero-shot scorer in log-prior
-  space, where the problem is convex and unconstrained ("method 1"),
+  space, where the problem is convex and unconstrained ("method 1"), by
+  damped Newton and iterative-scaling steps; once Newton wins a step, a full
+  Newton step is taken alone whenever it passes its line search, and a fit
+  that stops unconverged warns,
 * the stationary distribution of the class-averaged prediction matrix,
   solved exactly by one linear solve ("method 2"),
 * the naive average of predicted probabilities, kept as a provably
@@ -15,6 +18,7 @@ Also computes the Hoeffding-style theoretical error bound for method 2.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,22 +133,30 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     Minimizes the mean cross-entropy of the debiased scorer softmax(s - log q)
     over u = -log q, where the risk mean[logsumexp(s_i + u) - s_iy - u_y] is
     convex and unconstrained, and q = softmax(-u) is a simplex by construction.
-    From u = 0 (the uniform prior), each step line-searches two descent
+    From u = 0 (the uniform prior), each step Armijo-searches two descent
     directions and keeps the one that lowers the risk more: a damped Newton
     step, which converges fast near the optimum, and the iterative-scaling
     step log(mean prediction) - log(label frequency) of Saerens et al. (2002),
     which crosses the flat region where a class is (almost) never predicted in
-    one move.  Stops when the l1 gradient norm falls below M1_TOL or after
-    M1_MAX_ITERS steps; non-convergence is not an exception.
+    one move.  Once a step has gone to Newton, a full Newton step (t = 1) that
+    passes the Armijo test is taken without forming the scaling direction;
+    only when Newton has to backtrack, or finds no decrease, are both searched
+    again, and a step won by scaling returns to comparing both every step.
+    Stops when the l1 gradient norm falls below M1_TOL, after M1_MAX_ITERS
+    steps, or when neither direction decreases the risk.  Non-convergence is
+    not an exception: the last iterate is returned, with a RuntimeWarning
+    naming the step count and the gradient norm.
     """
     k = validation.n_classes
     labels = validation.labels
-    freq = np.bincount(labels, minlength=k) / labels.size
+    n = labels.size
+    freq = np.bincount(labels, minlength=k) / n
     if np.any(freq == 0.0):
         raise MissingClassError(int(np.flatnonzero(freq == 0.0)[0]))
     # class-major (K x N): a reduction over classes is K vector passes, not N short ones
     scores = np.ascontiguousarray(validation.logits.scores.T)
-    cols = np.arange(labels.size)
+    # flat index of each example's label log-posterior in a K x N array
+    picks = labels * n + np.arange(n)
     # the fit's only K x N arrays besides `scores`: the current log-posteriors,
     # a line search's trial, and scratch for exponentials
     current, trial_buf, scratch = (np.empty_like(scores) for _ in range(3))
@@ -154,14 +166,14 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         np.add(scores, u[:, None], out=logp)
         logp -= logp.max(axis=0)
         logp -= np.log(np.exp(logp, out=scratch).sum(axis=0))
-        value = float(-np.mean(logp[labels, cols]))
+        value = float(-np.mean(np.take(logp, picks)))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
         return value
 
     def search(u, value, grad, direction, logp):
         """Armijo backtracking along -direction, each trial's log-posteriors
-        written to `logp`; None if nothing decreases.
+        written to `logp`: (risk, u, logp, t), or None if nothing decreases.
 
         A rise within the risk's float resolution is accepted: near the
         optimum the predicted decrease falls below it, and a strict test
@@ -174,37 +186,53 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
             trial = u - t * direction
             trial_value = risk(trial, logp)
             if trial_value <= value - 1e-4 * t * slope + slack:
-                return trial_value, trial, logp
+                return trial_value, trial, logp, t
             t *= 0.5
         return None
 
     u = np.zeros(k)
     value = risk(u, current)
-    for _ in range(M1_MAX_ITERS):
+    newton_won = False
+    for steps in range(M1_MAX_ITERS + 1):
         probs = np.exp(current, out=scratch)
         mean = probs.mean(axis=1)
         grad = mean - freq
         norm = float(np.abs(grad).sum())
-        if norm < M1_TOL:
+        if norm < M1_TOL or steps == M1_MAX_ITERS:
             break
         # the 1/K term fixes the shift null-space; the norm^2 damping keeps the
         # matrix nonsingular when some class is never predicted
-        hess = np.diag(mean + norm * norm) - probs @ probs.T / labels.size + 1.0 / k
-        newton = np.linalg.solve(hess, grad)
-        # log of the mean prediction, without underflow for unpredicted classes
-        top = current.max(axis=1)
-        shifted = np.subtract(current, top[:, None], out=scratch)
-        scaling = top + np.log(np.exp(shifted, out=scratch).mean(axis=1)) - np.log(freq)
-        # `current` is dead once both directions are formed: the scaling
-        # search writes its trials there
-        found = [r for r in (search(u, value, grad, newton, trial_buf),
-                             search(u, value, grad, scaling, current)) if r]
+        hess = np.diag(mean + norm * norm) - probs @ probs.T / n + 1.0 / k
+        found = [search(u, value, grad, np.linalg.solve(hess, grad), trial_buf)]
+        if not (newton_won and found[0] and found[0][3] == 1.0):
+            # log of the mean prediction, without underflow for unpredicted classes
+            top = current.max(axis=1)
+            shifted = np.subtract(current, top[:, None], out=scratch)
+            scaling = top + np.log(np.exp(shifted, out=scratch).mean(axis=1)) - np.log(freq)
+            # `current` is dead once the scaling direction is formed: its
+            # search writes its trials there
+            found.append(search(u, value, grad, scaling, current))
+        found = [r for r in found if r]
         if not found:
             break  # no decrease left at float precision
-        value, u, logp = min(found, key=lambda r: r[0])
-        if logp is trial_buf:
+        value, u, logp, _ = min(found, key=lambda r: r[0])
+        newton_won = logp is trial_buf
+        if newton_won:
             current, trial_buf = trial_buf, current
-    return softmax_row(-u)
+    q = softmax_row(-u)
+    if np.any(q.probs == 0.0):
+        # the optimum underflows: measure the gradient at the prior returned,
+        # a zero entry read as the smallest normal float
+        risk(-np.log(np.maximum(q.probs, np.finfo(np.float64).tiny)), current)
+        norm = float(np.abs(np.exp(current, out=scratch).mean(axis=1) - freq).sum())
+    if norm >= M1_TOL:
+        warnings.warn(
+            f"Method 1 did not converge: stopped after {steps} steps with l1 "
+            f"gradient norm {norm:.3g} at the returned prior (tolerance {M1_TOL:g})",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    return q
 
 
 def estimate_prior_naive(logits: LogitTable) -> ProbabilitySimplex:

@@ -132,6 +132,9 @@ class TestLogitFiles:
             ("0,1,2\n1,3,4\n0,x,2\n", 4, "bad numeric field"),
             ("0,1\n0,1,2\n", 2, "expected 3 fields, got 2"),
             ("", 2, "no data rows"),
+            ("0,1,2\n1,3,4\n0,2,nan\n1,nan,0\n", 4, "non-finite score"),
+            ("0,1,2\n1,3,4\n0,2,inf\n1,inf,0\n", 4, "non-finite score"),
+            ("0,1,2\n1,3,4\n0,-inf,2\n1,-inf,0\n", 4, "non-finite score"),
         ],
     )
     def test_error_line_numbers(self, tmp_path, body, line, what):
@@ -724,6 +727,14 @@ class TestCliEvaluate:
         report = str(tmp_path / "r.json")
         assert main(["evaluate", "--logits", logits, "--report", report, "--floor", "1e-6"]) == 2
         assert "--floor" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_exit_1_names_line(self, tmp_path, capsys, value):
+        path = write(tmp_path / "l.csv", f"label,c0,c1\n0,5,0\n1,{value},5\n")
+        report = str(tmp_path / "r.json")
+        assert main(["evaluate", "--logits", path, "--report", report]) == 1
+        assert "line 3: non-finite score" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
     def test_unlabelled_exit_1(self, tmp_path):

@@ -24,6 +24,11 @@ def logits_for_probs(rows):
     return LogitTable(np.log(np.asarray(rows, dtype=np.float64)))
 
 
+# Method 1's warning that it stopped unconverged, as an error: a step rule
+# that stalls fails these tests instead of returning quietly
+M1_STALL_IS_ERROR = pytest.mark.filterwarnings("error:Method 1 did not converge:RuntimeWarning")
+
+
 def m1_gradient_l1(data, q):
     """l1 norm of Method 1's risk gradient at the prior q."""
     debiased = data.logits.scores - np.log(q.probs)
@@ -220,7 +225,8 @@ class TestEstimatePriorM1:
         monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 1)
         rng = np.random.default_rng(2)
         data = LabelledLogits(LogitTable(rng.normal(size=(10, 3))), rng.integers(0, 3, 10))
-        q = estimate_prior_m1(data)
+        with pytest.warns(RuntimeWarning, match="did not converge: stopped after 1 steps"):
+            q = estimate_prior_m1(data)
         assert np.all(q.probs >= 0)
         assert abs(q.probs.sum() - 1.0) <= 1e-9
 
@@ -255,26 +261,31 @@ class TestEstimatePriorM1:
             m2 = l1_distance(estimate_prior_m2(data), prior)
             assert m1 <= m2 + 0.02, f"K={k}: m1 l1 {m1:.4f}, m2 l1 {m2:.4f}"
 
-    @pytest.mark.parametrize("k", [2, 5, 10, 20])
-    @pytest.mark.parametrize("separation", [1, 2, 3, 4, 5, 6])
+    @M1_STALL_IS_ERROR
+    @pytest.mark.parametrize("k", [2, 5, 10, 20, 100])
+    @pytest.mark.parametrize("separation", [1, 2, 3, 4, 5, 6, 8, 10])
     def test_gradient_vanishes_on_grid(self, k, separation):
-        # m1_gradient_l1 works example-major, so this holds whatever layout M1 uses
+        # m1_gradient_l1 works example-major, so this holds whatever layout M1
+        # uses; at large separations most classes are rarely predicted, the
+        # flat region the scaling step crosses
         prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
         cfg = SyntheticTaskConfig(k=k, dim=k, mean_separation=float(separation), pretrain_prior=prior, seed=k)
         data = sample_shots(make_task(cfg), 50, seed=separation).labelled_zs()
         assert m1_gradient_l1(data, estimate_prior_m1(data)) <= 1e-9
 
-    def test_k1000_converges_within_ten_steps(self, monkeypatch):
+    @M1_STALL_IS_ERROR
+    @pytest.mark.parametrize("k", [100, 300, 1000])
+    def test_k1000_converges_within_ten_steps(self, monkeypatch, k):
         # near the optimum Newton's predicted decrease is below the risk's
         # float resolution; a line search that demands a visible decrease
         # then backtracks to zero steps and leaves the gradient at ~1e-8
-        k = 1000
         prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
         cfg = SyntheticTaskConfig(k=k, dim=32, pretrain_prior=prior, seed=k)
         data = sample_shots(make_task(cfg), 10, seed=100 + k).labelled_zs()
         monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 10)
         assert m1_gradient_l1(data, estimate_prior_m1(data)) <= 1e-9
 
+    @M1_STALL_IS_ERROR
     def test_degenerate_inputs_give_finite_simplex(self):
         rng = np.random.default_rng(6)
         labels = np.repeat(np.arange(3), 50)
@@ -287,7 +298,12 @@ class TestEstimatePriorM1:
         fits = {}
         for name, scores in (("never", never), ("rare", rare), ("always", always)):
             data = LabelledLogits(LogitTable(scores), labels)
-            q = estimate_prior_m1(data)
+            if name == "never":
+                # the prior returned cannot hold the optimum, so it says so
+                with pytest.warns(RuntimeWarning, match="did not converge"):
+                    q = estimate_prior_m1(data)
+            else:
+                q = estimate_prior_m1(data)
             assert np.all(np.isfinite(q.probs))
             assert abs(q.probs.sum() - 1.0) <= 1e-9
             fits[name] = data, q
