@@ -124,7 +124,8 @@ def _cmd_study(args) -> int:
     )
     save_study_csv(args.out, study)
     for row in study.rows:
-        print(f"N={row.n}: mean_l1={row.mean_l1:.5f} std={row.std:.5f} bound={row.bound:.5f}")
+        stats = f"mean_l1={row.mean_l1:.5f} std={row.std:.5f} bound={row.bound:.5f}"
+        print(f"N={row.n}: {stats} ok={row.n_ok}/{study.trials}")
     return EXIT_OK
 
 

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInput
-from .numerics import LogitTable
+from .numerics import LogitTable, as_real, finite_vector
 
 
 def _as_log_prior(vec, name: str) -> np.ndarray:
-    arr = np.asarray(vec, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInput(f"{name} must be a 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} must be finite")
+    arr = finite_vector(vec, name)
     if abs(float(np.exp(arr).sum()) - 1.0) > 1e-6:
         raise InvalidInput(f"{name} must exponentiate to a probability simplex")
     return arr.copy()
@@ -98,8 +94,7 @@ def naive_ensemble(ft: LogitTable, zs: LogitTable) -> LogitTable:
 def alpha_mix(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, alpha: float) -> LogitTable:
     """Convex mix of the two debiased scorers for the ablation sweep:
     (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s), with alpha in [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise InvalidInput(f"alpha must lie in [0, 1], got {alpha!r}")
+    as_real(alpha, "alpha", 0.0, 1.0)
     _check_pair(ft, zs, adj)
     out = zs.scores - adj.pi_p
     out *= 1.0 - alpha

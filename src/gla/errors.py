@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception and warning types shared across the toolkit."""
 
 
 class GlaError(Exception):
@@ -23,6 +23,10 @@ class MissingClassError(GlaError):
 
 class OptimizationError(GlaError):
     """The prior optimizer produced a non-finite loss."""
+
+
+class ConvergenceWarning(RuntimeWarning):
+    """An iterative estimator stopped short of its tolerance; its last iterate is returned."""
 
 
 class IdentifiabilityError(GlaError):

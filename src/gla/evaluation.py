@@ -4,11 +4,12 @@ estimation-convergence study over shot counts."""
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, GlaError, InvalidInput, MissingClassError
+from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput, MissingClassError
 from .numerics import LabelledLogits, LogitTable, argmax_rows, as_int, l1_distance
 from .prior_estimation import (
     estimate_prior_m1,
@@ -42,18 +43,13 @@ class StudyOptions:
     base_seed: int = 0
 
     def __post_init__(self):
-        try:
-            shots = sorted(as_int(n, f"shots[{i}]") for i, n in enumerate(self.shots))
-        except TypeError:
-            raise InvalidInput(f"shots must be a list of integers, got {self.shots!r}") from None
-        if not shots or shots[0] < 1:
+        entries = enumerate(self.shots) if np.iterable(self.shots) else ()
+        shots = sorted(as_int(n, f"shots[{i}]", 1) for i, n in entries)
+        if not shots:
             raise InvalidInput(f"shots must be a nonempty list of counts >= 1, got {self.shots!r}")
-        if as_int(self.trials, "trials") < 1:
-            raise InvalidInput(f"trials must be >= 1, got {self.trials!r}")
-        if as_int(self.base_seed, "base_seed") < 0:
-            raise InvalidInput(f"base_seed must be nonnegative, got {self.base_seed!r}")
+        as_int(self.trials, "trials", 1)
         object.__setattr__(self, "shots", shots)
-        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "base_seed", as_int(self.base_seed, "base_seed", 0))
 
 
 @dataclass(frozen=True)
@@ -147,7 +143,9 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
 def _estimate(estimator: str, data: LabelledLogits):
     if estimator == "naive":
         return estimate_prior_naive(data.logits)
-    return estimate_prior_m1(data) if estimator == "m1" else estimate_prior_m2(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)  # an unconverged fit fails its trial
+        return estimate_prior_m1(data) if estimator == "m1" else estimate_prior_m2(data)
 
 
 def run_convergence_study(
@@ -165,8 +163,8 @@ def run_convergence_study(
     of the balanced batch with seed base_seed + trial, once, at the largest
     shot count.  Every smaller count N takes the first N rows of each class
     block of that draw, which is zero_shot_shots(task, N, seed) bit for bit.
-    Estimator failures (a GlaError) are recorded as missing trials rather
-    than aborting the study, and any other exception propagates.
+    Estimator failures (a GlaError, or Method 1's ConvergenceWarning) are
+    recorded as missing trials, and any other exception propagates.
     """
     opts = StudyOptions(shots, trials, base_seed)
     if estimator not in ESTIMATORS:
@@ -183,7 +181,7 @@ def run_convergence_study(
             data = LabelledLogits(LogitTable(blocks[:, :n].reshape(k * n, k)), labels)
             try:
                 est = _estimate(estimator, data)
-            except GlaError:
+            except (GlaError, ConvergenceWarning):
                 continue
             cell_errors.append(l1_distance(est, truth))
     rows = []

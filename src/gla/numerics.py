@@ -7,6 +7,8 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +19,38 @@ LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
 
 
-def as_int(value, name: str) -> int:
-    """`value` as an int if it is a Python or numpy integer; bools, floats,
-    strings and None raise InvalidInput naming `name`."""
+def as_int(value, name: str, low: int | None = None) -> int:
+    """`value` as an int if it is a Python or numpy integer, not below `low`
+    if one is given; anything else (bool, float, str, None) raises InvalidInput naming `name`."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise InvalidInput(f"{name} must be >= {low}, got {int(value)}")
     return int(value)
+
+
+def as_real(value, name: str, low: float = -math.inf, high: float = math.inf, *, open: bool = False):
+    """`value`, unconverted, if it is a finite real number (not a bool) in [low, high],
+    or in (low, high) when `open`; anything else raises InvalidInput naming `name`."""
+    try:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int past float range
+        real = False
+    if not real:
+        raise InvalidInput(f"{name} must be a finite real number, got {value!r}")
+    if not (low < value < high if open else low <= value <= high):
+        bounds = f"({low:g}, {high:g})" if open else f"[{low:g}, {high:g}]"
+        raise InvalidInput(f"{name} must lie in {bounds}, got {value!r}")
+    return value
+
+
+def finite_vector(values, name: str) -> np.ndarray:
+    """`values` as a float64 array if it is a non-empty 1-d vector of finite
+    numbers; anything else raises InvalidInput naming `name`."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
+        raise InvalidInput(f"{name} must be a non-empty 1-d vector of finite numbers")
+    return arr
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -38,11 +66,7 @@ class ProbabilitySimplex:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidInput("simplex must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("simplex entries must be finite")
+        arr = finite_vector(self.probs, "simplex")
         if np.any(arr < 0.0):
             raise InvalidInput("simplex entries must be nonnegative")
         if abs(float(arr.sum()) - 1.0) > SIMPLEX_ATOL:
@@ -55,18 +79,14 @@ class ProbabilitySimplex:
 
     @classmethod
     def uniform(cls, k: int) -> "ProbabilitySimplex":
-        if k < 1:
-            raise InvalidInput("k must be >= 1")
-        return cls(np.full(k, 1.0 / k))
+        return cls(np.full(as_int(k, "k", 1), 1.0 / k))
 
     @classmethod
     def from_weights(cls, weights) -> "ProbabilitySimplex":
         """Normalize a vector of nonnegative weights into a simplex."""
-        arr = np.asarray(weights, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise InvalidInput("weights must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise InvalidInput("weights must be finite and nonnegative")
+        arr = finite_vector(weights, "weights")
+        if np.any(arr < 0.0):
+            raise InvalidInput("weights must be nonnegative")
         total = float(arr.sum())
         if total <= 0.0:
             raise InvalidInput("weights must have positive sum")
@@ -110,9 +130,7 @@ class LabelledLogits:
         if lab.ndim != 1 or lab.shape[0] != self.logits.n_examples:
             raise DimensionError("labels length must equal number of rows")
         if not np.issubdtype(lab.dtype, np.integer):
-            if not np.all(lab == np.floor(lab)):
-                raise InvalidInput("labels must be integers")
-            lab = lab.astype(np.int64)
+            raise InvalidInput(f"labels must be integers, got dtype {lab.dtype}")
         lab = np.ascontiguousarray(lab, dtype=np.int64)
         if lab.size and (lab.min() < 0 or lab.max() >= self.logits.n_classes):
             raise InvalidInput("labels must lie in [0, K)")
@@ -156,12 +174,13 @@ def softmax_row(v) -> ProbabilitySimplex:
     Uses max-subtraction so any finite input is safe, and is invariant to
     adding a constant to every entry.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInput("input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("input must be finite")
+    arr = finite_vector(v, "v")
     return ProbabilitySimplex(softmax_matrix(arr[None, :])[0])
+
+
+def _check_simplex(value, name: str) -> None:
+    if not isinstance(value, ProbabilitySimplex):
+        raise InvalidInput(f"{name} must be a ProbabilitySimplex, got {type(value).__name__}")
 
 
 def log_prior(p: ProbabilitySimplex) -> np.ndarray:
@@ -173,6 +192,7 @@ def log_prior(p: ProbabilitySimplex) -> np.ndarray:
     unaffected by the constant shift.  Entries at or above the floor are
     logged as they are.
     """
+    _check_simplex(p, "p")
     floored = np.maximum(p.probs, LOG_FLOOR)
     if np.any(p.probs < LOG_FLOOR):
         floored /= floored.sum()
@@ -181,6 +201,8 @@ def log_prior(p: ProbabilitySimplex) -> np.ndarray:
 
 def l1_distance(a: ProbabilitySimplex, b: ProbabilitySimplex) -> float:
     """Total-variation-style l1 distance between two simplices."""
+    _check_simplex(a, "a")
+    _check_simplex(b, "b")
     if a.k != b.k:
         raise DimensionError(f"dimension mismatch: {a.k} vs {b.k}")
     return float(np.abs(a.probs - b.probs).sum())
@@ -192,11 +214,7 @@ def project_to_simplex(v) -> ProbabilitySimplex:
     Sort-based algorithm; the result is clipped and renormalized at the end
     so the simplex invariants hold exactly.
     """
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInput("input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInput("input must be finite")
+    arr = finite_vector(v, "v")
     u = np.sort(arr)[::-1]
     css = np.cumsum(u) - 1.0
     rho_candidates = u - css / np.arange(1, arr.size + 1) > 0.0

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentifiabilityError, InvalidInput, MissingClassError, OptimizationError
+from .errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, MissingClassError, OptimizationError
 from .numerics import (
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
     as_int,
+    as_real,
     class_blocks,
     softmax_matrix,
     softmax_row,
@@ -144,7 +145,7 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     again, and a step won by scaling returns to comparing both every step.
     Stops when the l1 gradient norm falls below M1_TOL, after M1_MAX_ITERS
     steps, or when neither direction decreases the risk.  Non-convergence is
-    not an exception: the last iterate is returned, with a RuntimeWarning
+    not an exception: the last iterate is returned, with a ConvergenceWarning
     naming the step count and the gradient norm.
     """
     k = validation.n_classes
@@ -229,7 +230,7 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         warnings.warn(
             f"Method 1 did not converge: stopped after {steps} steps with l1 "
             f"gradient norm {norm:.3g} at the returned prior (tolerance {M1_TOL:g})",
-            RuntimeWarning,
+            ConvergenceWarning,
             stacklevel=2,
         )
     return q
@@ -247,10 +248,7 @@ def m2_error_bound(k: int, n_per_class: int, delta: float) -> float:
 
     The unobservable population constant factor is reported as 1.
     """
-    if as_int(k, "k") < 2:
-        raise InvalidInput("k must be >= 2")
-    if as_int(n_per_class, "n_per_class") < 1:
-        raise InvalidInput("n_per_class must be >= 1")
-    if not 0.0 < delta < 1.0:
-        raise InvalidInput("delta must lie in (0, 1)")
+    as_int(k, "k", 2)
+    as_int(n_per_class, "n_per_class", 1)
+    as_real(delta, "delta", 0.0, 1.0, open=True)
     return math.sqrt(k * k / (2.0 * n_per_class) * math.log(2.0 * k * k / delta))

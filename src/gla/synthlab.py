@@ -19,7 +19,6 @@ which lets the convergence study share one draw per trial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,7 @@ from .numerics import (
     LogitTable,
     ProbabilitySimplex,
     as_int,
+    as_real,
     class_blocks,
     log_prior,
 )
@@ -48,30 +48,15 @@ class SyntheticTaskConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("k", "dim", "seed"):
-            as_int(getattr(self, name), name)
-        if self.pretrain_prior is None:
-            object.__setattr__(self, "pretrain_prior", ProbabilitySimplex.uniform(self.k))
-        if self.source_prior is None:
-            object.__setattr__(self, "source_prior", ProbabilitySimplex.uniform(self.k))
-        if self.k < 2:
-            raise InvalidInput("k must be >= 2")
-        if self.dim < 1:
-            raise InvalidInput("dim must be >= 1")
-        sep = self.mean_separation
-        try:
-            finite = not isinstance(sep, (bool, np.bool_)) and math.isfinite(sep)
-        except (TypeError, OverflowError):  # not a number, or an int past float range
-            finite = False
-        if not finite:
-            raise InvalidInput(f"mean_separation must be a finite real number, got {sep!r}")
-        if not sep >= 0.0:
-            raise InvalidInput("mean_separation must be nonnegative")
+        as_int(self.k, "k", 2)
+        as_int(self.dim, "dim", 1)
+        as_int(self.seed, "seed", 0)
+        as_real(self.mean_separation, "mean_separation", 0.0)
         for name in ("pretrain_prior", "source_prior"):
-            if getattr(self, name).k != self.k:
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, ProbabilitySimplex.uniform(self.k))
+            elif getattr(self, name).k != self.k:
                 raise InvalidInput(f"{name} must have length k")
-        if self.seed < 0:
-            raise InvalidInput("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -113,6 +98,13 @@ def make_task(cfg: SyntheticTaskConfig) -> SyntheticTask:
     return SyntheticTask(cfg, m1, m2)
 
 
+def _view(view) -> int:
+    """`view` if it is the integer 1 or 2; a bool or a float is not a view."""
+    if isinstance(view, bool) or not isinstance(view, (int, np.integer)) or view not in (1, 2):
+        raise InvalidInput(f"view must be 1 or 2, got {view!r}")
+    return view
+
+
 def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.ndarray:
     """Exact Gaussian log-densities, one column per class, up to a constant.
 
@@ -124,9 +116,7 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     Here a row's logits are the same bits whether it is scored alone or
     with any other rows, which label-shift faithfulness needs.
     """
-    if view not in (1, 2):
-        raise InvalidInput(f"view must be 1 or 2, got {view!r}")
-    means = task.means_view1 if view == 1 else task.means_view2
+    means = task.means_view1 if _view(view) == 1 else task.means_view2
     scores = np.einsum("nd,kd->nk", x, means)
     scores -= np.einsum("nd,nd->n", x, x)[:, None] / 2.0
     scores -= np.einsum("kd,kd->k", means, means) / 2.0
@@ -155,12 +145,10 @@ def _sample_view(
 
 def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
     """Draw n labels from `prior` on the seed's label stream."""
-    if as_int(n, "n") < 1:
-        raise InvalidInput("n must be >= 1")
+    as_int(n, "n", 1)
     if prior.k != task.cfg.k:
         raise InvalidInput("prior length must equal k")
-    if as_int(seed, "seed") < 0:
-        raise InvalidInput("seed must be nonnegative")
+    as_int(seed, "seed", 0)
     rng_labels = np.random.default_rng(np.random.SeedSequence([seed, _LABEL_STREAM]))
     return rng_labels.choice(task.cfg.k, size=n, p=prior.probs).astype(np.int64)
 
@@ -180,10 +168,8 @@ def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> Labelle
     batch at n is the first n rows of each class block of the batch at any
     larger count with the same seed, which the convergence study relies on
     to share one draw per trial."""
-    if as_int(n_per_class, "n_per_class") < 1:
-        raise InvalidInput("n_per_class must be >= 1")
-    if as_int(seed, "seed") < 0:
-        raise InvalidInput("seed must be nonnegative")
+    as_int(n_per_class, "n_per_class", 1)
+    as_int(seed, "seed", 0)
     labels = np.repeat(np.arange(task.cfg.k, dtype=np.int64), n_per_class)
     return LabelledLogits(_sample_view(task, labels, seed, 1, task.cfg.pretrain_prior), labels)
 
@@ -201,7 +187,7 @@ def _monte_carlo_risk(
     """Monte-Carlo risk of the exact Bayes classifier that sees `views`: the
     views are independent given the label, so it scores the sum of their
     log-posteriors under eval_prior less all but one copy of the log prior."""
-    labels = _sample_labels(task, eval_prior, n_mc, seed)
+    labels = _sample_labels(task, eval_prior, as_int(n_mc, "n_mc", 1), seed)
     scores = sum(_sample_view(task, labels, seed, view, eval_prior).scores for view in views)
     preds = np.argmax(scores - (len(views) - 1) * log_prior(eval_prior), axis=1)
     return float(np.mean(preds != labels))
@@ -225,9 +211,7 @@ def single_view_bayes_risk(
     seed: int = 0,
 ) -> float:
     """Monte-Carlo risk of the Bayes classifier that sees only one view."""
-    if view not in (1, 2):
-        raise InvalidInput("view must be 1 or 2")
-    return _monte_carlo_risk(task, eval_prior, (view,), n_mc, seed)
+    return _monte_carlo_risk(task, eval_prior, (_view(view),), n_mc, seed)
 
 
 def binary_naive_bias(p11: float, p12: float) -> dict:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import gla.evaluation
-from gla.errors import DimensionError, InvalidInput, MissingClassError, OptimizationError
+import gla.prior_estimation
+from gla.errors import ConvergenceWarning, DimensionError, InvalidInput, MissingClassError, OptimizationError
 from gla.evaluation import (
     balanced_error,
     breakdown_groups,
@@ -230,6 +233,21 @@ class TestConvergenceStudy:
             arr = np.asarray(errors)
             assert (row.n, row.mean_l1, row.std, row.bound, row.n_ok) == (
                 n, float(arr.mean()), float(arr.std()), m2_error_bound(k, n, 0.05), len(errors))
+
+    @pytest.mark.filterwarnings("error")
+    def test_unconverged_m1_fit_is_a_dropped_trial(self, monkeypatch):
+        cfg = SyntheticTaskConfig(k=3, seed=1)
+        converged = run_convergence_study(cfg, "m1", [20, 40], trials=3)
+        assert [row.n_ok for row in converged.rows] == [3, 3]
+        # one step cannot converge: every fit warns, so no trial counts
+        monkeypatch.setattr(gla.prior_estimation, "M1_MAX_ITERS", 1)
+        study = run_convergence_study(cfg, "m1", [20, 40], trials=3)
+        assert [row.n_ok for row in study.rows] == [0, 0]
+        assert all(math.isnan(row.mean_l1) and math.isnan(row.std) for row in study.rows)
+        # a run of Method 1 outside the study still warns, and returns its iterate
+        data = zero_shot_shots(make_task(cfg), 20, seed=0)
+        with pytest.warns(ConvergenceWarning, match="did not converge"):
+            gla.prior_estimation.estimate_prior_m1(data)
 
     def test_other_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

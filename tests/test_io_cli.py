@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gla import prior_estimation
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
@@ -805,6 +806,23 @@ class TestCliStudyAndSimulate:
         lines = Path(out).read_text().strip().splitlines()
         assert lines[0] == "n,mean_l1,std,bound"
         assert len(lines) == 3
+
+    def test_study_row_lines_count_good_trials(self, tmp_path, capsys, monkeypatch):
+        cfg = self._config(tmp_path, trials=3)
+        out = str(tmp_path / "study.csv")
+        assert main(["study", "--config", cfg, "--estimator", "m1", "--out", out]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == ["N=25:", "N=100:"]
+        assert all(row.endswith(" ok=3/3") for row in rows)
+        csv = Path(out).read_bytes()
+        # an unconverged Method 1 fit is not a good trial; the CSV keeps its columns
+        monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 1)
+        assert main(["study", "--config", cfg, "--estimator", "m1", "--out", out]) == 0
+        captured = capsys.readouterr()
+        assert [row.split()[-1] for row in captured.out.splitlines()] == ["ok=0/3", "ok=0/3"]
+        assert captured.err == ""
+        lines = Path(out).read_text().splitlines()
+        assert lines[0] == csv.decode().splitlines()[0] and lines[1].startswith("25,nan,nan,")
 
     def test_study_deterministic(self, tmp_path):
         cfg = self._config(tmp_path)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,12 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gla.ensemble import AdjustmentSpec
 from gla.errors import DimensionError, InvalidInput
+from gla.evaluation import balanced_error, breakdown_report, per_class_accuracy, top1_error
 from gla.numerics import (
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
     as_int,
+    as_real,
+    finite_vector,
     l1_distance,
     log_prior,
     project_to_simplex,
@@ -35,6 +40,66 @@ class TestAsInt:
         for value in (True, np.bool_(True), 1.0, 2.5, np.float64(3.0), "3", None, [1]):
             with pytest.raises(InvalidInput, match=r"^count must be an integer, got "):
                 as_int(value, "count")
+
+    def test_lower_bound(self):
+        assert as_int(np.int64(0), "seed", 0) == 0 and as_int(5, "n", 1) == 5
+        for value in (-1, np.int64(-1)):
+            with pytest.raises(InvalidInput, match=r"^seed must be >= 0, got -1$"):
+                as_int(value, "seed", 0)
+        with pytest.raises(InvalidInput, match=r"^n must be an integer, got 0\.5$"):
+            as_int(0.5, "n", 1)  # the type is checked before the bound
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.25), np.float64(1.0), np.int64(0), np.uint8(1)])
+    def test_returns_value_unconverted(self, value):
+        assert as_real(value, "alpha", 0.0, 1.0) is value
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, None, "0.5", [0.5], np.array([0.5]), 1j, math.inf, -math.inf, math.nan, 10**400],
+        ids=["True", "np.True_", "None", "str", "list", "array", "complex", "inf", "-inf", "nan", "10**400"],
+    )
+    def test_rejects_non_reals(self, value):
+        with pytest.raises(InvalidInput, match=r"^x must be a finite real number, got "):
+            as_real(value, "x")
+
+    def test_bounds(self):
+        assert as_real(-1e300, "x") == -1e300
+        assert as_real(0.0, "alpha", 0.0, 1.0) == 0.0
+        with pytest.raises(InvalidInput, match=re.escape("alpha must lie in [0, 1], got 1.5")):
+            as_real(1.5, "alpha", 0.0, 1.0)
+        for value in (0.0, 1, -0.5):
+            with pytest.raises(InvalidInput, match=re.escape(f"delta must lie in (0, 1), got {value!r}")):
+                as_real(value, "delta", 0.0, 1.0, open=True)
+
+
+class TestFiniteVector:
+    def test_accepts_finite_vectors(self):
+        out = finite_vector([1, 2.5, -3], "v")
+        assert out.dtype == np.float64 and out.tolist() == [1.0, 2.5, -3.0]
+
+    def test_keeps_a_float64_vector_as_is(self):
+        arr = np.array([0.25, 0.75])
+        assert finite_vector(arr, "v") is arr
+
+    @pytest.mark.parametrize("value", [[], 0.5, [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (ProbabilitySimplex, "simplex"),
+            (ProbabilitySimplex.from_weights, "weights"),
+            (softmax_row, "v"),
+            (project_to_simplex, "v"),
+            (lambda v: AdjustmentSpec(pi_s=v, pi_p=[0.0]), "pi_s"),
+            (lambda v: AdjustmentSpec(pi_s=[0.0], pi_p=v), "pi_p"),
+            (lambda v: AdjustmentSpec(pi_s=[0.0], pi_p=[0.0], pi_t=v), "pi_t"),
+        ],
+        ids=["simplex", "from_weights", "softmax_row", "project_to_simplex", "pi_s", "pi_p", "pi_t"],
+    )
+    def test_every_entry_point_names_its_argument(self, entry, name, value):
+        with pytest.raises(InvalidInput, match=f"^{name} must be a non-empty 1-d vector of finite numbers$"):
+            entry(value)
 
 
 class TestProbabilitySimplex:
@@ -83,6 +148,32 @@ class TestLabelledLogits:
         t = LogitTable([[0.0, 1.0]])
         with pytest.raises(DimensionError):
             LabelledLogits(t, [0, 1])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64, np.int64])
+    def test_integer_dtypes_accepted(self, dtype):
+        lab = LabelledLogits(LogitTable(np.zeros((3, 2))), np.array([1, 0, 1], dtype=dtype)).labels
+        assert lab.dtype == np.int64 and lab.tolist() == [1, 0, 1]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[True, False], np.array([True, False]), ["1", "0"], [1.0, 0.0], [np.inf, 0.0], [np.nan, 0.0], [0.5, 1.0]],
+        ids=["bool-list", "bool-array", "str", "integral-float", "inf", "nan", "fraction"],
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda t, lab: LabelledLogits(t, np.asarray(lab)),
+            top1_error,
+            per_class_accuracy,
+            balanced_error,
+            lambda t, lab: breakdown_report(t, lab, np.log([0.5, 0.5])),
+        ],
+        ids=["LabelledLogits", "top1_error", "per_class_accuracy", "balanced_error", "breakdown_report"],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_non_integer_labels_named(self, entry, labels):
+        with pytest.raises(InvalidInput, match=r"^labels must be integers, got dtype "):
+            entry(LogitTable(np.zeros((2, 2))), labels)
 
 
 class TestSoftmaxRow:
@@ -140,6 +231,19 @@ class TestLogPrior:
         for _ in range(50):
             p = ProbabilitySimplex.from_weights(rng.random(7) + 0.01)
             assert np.array_equal(log_prior(p), np.log(p.probs))
+
+
+class TestSimplexArguments:
+    @pytest.mark.parametrize("value", [[0.5, 0.5], np.array([0.5, 0.5]), None])
+    def test_log_prior_and_l1_distance_name_a_non_simplex(self, value):
+        p = ProbabilitySimplex([0.5, 0.5])
+        kind = type(value).__name__
+        with pytest.raises(InvalidInput, match=f"^p must be a ProbabilitySimplex, got {kind}$"):
+            log_prior(value)
+        with pytest.raises(InvalidInput, match=f"^a must be a ProbabilitySimplex, got {kind}$"):
+            l1_distance(value, p)
+        with pytest.raises(InvalidInput, match=f"^b must be a ProbabilitySimplex, got {kind}$"):
+            l1_distance(p, value)
 
 
 class TestL1Distance:

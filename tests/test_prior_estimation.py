@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gla.errors import IdentifiabilityError, InvalidInput, MissingClassError
+from gla.errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, MissingClassError
 from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance, softmax_matrix
 from gla import prior_estimation
 from gla.prior_estimation import (
@@ -225,8 +225,10 @@ class TestEstimatePriorM1:
         monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 1)
         rng = np.random.default_rng(2)
         data = LabelledLogits(LogitTable(rng.normal(size=(10, 3))), rng.integers(0, 3, 10))
-        with pytest.warns(RuntimeWarning, match="did not converge: stopped after 1 steps"):
+        with pytest.warns(ConvergenceWarning, match="did not converge: stopped after 1 steps") as record:
             q = estimate_prior_m1(data)
+        # a RuntimeWarning, so filters on that category still catch it
+        assert issubclass(record[0].category, RuntimeWarning)
         assert np.all(q.probs >= 0)
         assert abs(q.probs.sum() - 1.0) <= 1e-9
 

@@ -1,11 +1,16 @@
 import hashlib
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from gla.ensemble import AdjustmentSpec, alpha_mix
 from gla.errors import InvalidInput
-from gla.numerics import ProbabilitySimplex, softmax_matrix
+from gla.evaluation import StudyOptions
+from gla.numerics import LogitTable, ProbabilitySimplex, log_prior, softmax_matrix
+from gla.prior_estimation import m2_error_bound
 from gla.synthlab import (
     SyntheticTaskConfig,
     bayes_risk,
@@ -58,7 +63,55 @@ class TestMakeTask:
         assert risks[1] < risks[0]
 
 
+def _task2():
+    return make_task(SyntheticTaskConfig(k=2, seed=1))
+
+
+_U2 = ProbabilitySimplex.uniform(2)
+
+# every integer argument with a lower bound: (entry point, argument name, bound)
+BOUNDED_INTEGERS = {
+    "config.k": (lambda v: SyntheticTaskConfig(k=v), "k", 2),
+    "config.dim": (lambda v: SyntheticTaskConfig(k=2, dim=v), "dim", 1),
+    "config.seed": (lambda v: SyntheticTaskConfig(k=2, seed=v), "seed", 0),
+    "sample_batch.n": (lambda v: sample_batch(_task2(), _U2, v, 0), "n", 1),
+    "sample_batch.seed": (lambda v: sample_batch(_task2(), _U2, 4, v), "seed", 0),
+    "zero_shot_shots.n_per_class": (lambda v: zero_shot_shots(_task2(), v, 0), "n_per_class", 1),
+    "zero_shot_shots.seed": (lambda v: zero_shot_shots(_task2(), 2, v), "seed", 0),
+    "sample_shots.n_per_class": (lambda v: sample_shots(_task2(), v, 0), "n_per_class", 1),
+    "sample_shots.seed": (lambda v: sample_shots(_task2(), 2, v), "seed", 0),
+    "study.shots": (lambda v: StudyOptions(shots=[10, v]), "shots[1]", 1),
+    "study.trials": (lambda v: StudyOptions(trials=v), "trials", 1),
+    "study.base_seed": (lambda v: StudyOptions(base_seed=v), "base_seed", 0),
+    "m2_error_bound.k": (lambda v: m2_error_bound(v, 10, 0.05), "k", 2),
+    "m2_error_bound.n_per_class": (lambda v: m2_error_bound(3, v, 0.05), "n_per_class", 1),
+    "uniform.k": (ProbabilitySimplex.uniform, "k", 1),
+    "bayes_risk.n_mc": (lambda v: bayes_risk(_task2(), _U2, n_mc=v), "n_mc", 1),
+    "bayes_risk.seed": (lambda v: bayes_risk(_task2(), _U2, n_mc=10, seed=v), "seed", 0),
+    "single_view_bayes_risk.n_mc": (lambda v: single_view_bayes_risk(_task2(), _U2, n_mc=v), "n_mc", 1),
+    "single_view_bayes_risk.seed": (
+        lambda v: single_view_bayes_risk(_task2(), _U2, n_mc=10, seed=v), "seed", 0
+    ),
+}
+
+
 class TestIntegerArguments:
+    @pytest.mark.parametrize("case", BOUNDED_INTEGERS.values(), ids=BOUNDED_INTEGERS.keys())
+    def test_lower_bound(self, case):
+        entry, name, low = case
+        for value in (low - 1, np.int64(low - 1)):
+            with pytest.raises(InvalidInput, match=f"^{re.escape(name)} must be >= {low}, got {low - 1}$"):
+                entry(value)
+        entry(low)
+        entry(np.int32(low))
+
+    @pytest.mark.parametrize("value", [2.0, 2.5, True, np.True_, "2", None])
+    @pytest.mark.parametrize("case", BOUNDED_INTEGERS.values(), ids=BOUNDED_INTEGERS.keys())
+    def test_non_integers_named(self, case, value):
+        entry, name, _ = case
+        with pytest.raises(InvalidInput, match=f"^{re.escape(name)} must be an integer, got "):
+            entry(value)
+
     @pytest.mark.parametrize("field", ["k", "dim", "seed"])
     @pytest.mark.parametrize("value", [2.5, 3.0, True, "3", None])
     def test_config_fields(self, field, value):
@@ -98,6 +151,48 @@ class TestIntegerArguments:
         assert np.array_equal(a.zs_logits.scores, b.zs_logits.scores)
         c = sample_batch(task, ProbabilitySimplex.uniform(2), np.int16(4), np.int64(5))
         assert np.array_equal(c.labels, sample_batch(task, ProbabilitySimplex.uniform(2), 4, 5).labels)
+
+
+def _alpha_mix(alpha):
+    t = LogitTable(np.zeros((2, 2)))
+    adj = AdjustmentSpec(pi_s=log_prior(_U2), pi_p=log_prior(_U2))
+    return alpha_mix(t, t, adj, alpha)
+
+
+# every real argument: (entry point, argument name, values inside, values outside
+# with the interval the message names)
+BOUNDED_REALS = {
+    "mean_separation": (
+        lambda v: SyntheticTaskConfig(k=2, mean_separation=v), "mean_separation",
+        [0, 0.0, 3, 1e300, np.float32(1.5)], [-1e-300, -1], "[0, inf]",
+    ),
+    "alpha_mix.alpha": (_alpha_mix, "alpha", [0, 0.0, 0.5, 1, np.float32(1.0)], [-0.1, 1.5, -1], "[0, 1]"),
+    "m2_error_bound.delta": (
+        lambda v: m2_error_bound(3, 10, v), "delta", [0.05, np.float32(0.5), 1e-300], [0, 0.0, 1, 1.0, 2], "(0, 1)",
+    ),
+}
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize("case", BOUNDED_REALS.values(), ids=BOUNDED_REALS.keys())
+    def test_bounds(self, case):
+        entry, name, inside, outside, interval = case
+        for value in inside:
+            entry(value)
+        for value in outside:
+            with pytest.raises(InvalidInput, match=f"^{name} must lie in {re.escape(interval)}, got "):
+                entry(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.True_, None, "0.5", [0.5], 1j, math.inf, -math.inf, math.nan, 10**400],
+        ids=["True", "np.True_", "None", "str", "list", "complex", "inf", "-inf", "nan", "10**400"],
+    )
+    @pytest.mark.parametrize("case", BOUNDED_REALS.values(), ids=BOUNDED_REALS.keys())
+    def test_non_reals_named(self, case, value):
+        entry, name = case[:2]
+        with pytest.raises(InvalidInput, match=f"^{name} must be a finite real number, got "):
+            entry(value)
 
 
 class TestSampleBatch:
@@ -203,11 +298,21 @@ class TestClassLogLikelihoods:
             err = np.abs(class_log_likelihoods(task, x, view=view) - oracle)
             assert np.all(err <= 1e-12 * scale), f"view {view}: worst {np.max(err / scale):.2e}"
 
-    @pytest.mark.parametrize("view", [0, 3, "1"])
+    @pytest.mark.parametrize("view", [0, 3, "1", True, False, np.True_, 1.0, 2.0, np.float64(1.0), None])
     def test_rejects_unknown_view(self, view):
         task = make_task(SyntheticTaskConfig(k=3, seed=1))
-        with pytest.raises(InvalidInput, match="view must be 1 or 2"):
+        u = ProbabilitySimplex.uniform(3)
+        with pytest.raises(InvalidInput, match="^view must be 1 or 2"):
             class_log_likelihoods(task, np.zeros((4, 2)), view=view)
+        with pytest.raises(InvalidInput, match="^view must be 1 or 2"):
+            single_view_bayes_risk(task, u, view=view, n_mc=10)
+
+    def test_accepts_numpy_integer_view(self):
+        task = make_task(SyntheticTaskConfig(k=3, seed=1))
+        x = np.ones((4, 2))
+        assert np.array_equal(class_log_likelihoods(task, x, np.int64(2)), class_log_likelihoods(task, x, 2))
+        u = ProbabilitySimplex.uniform(3)
+        assert single_view_bayes_risk(task, u, np.int8(2), 100) == single_view_bayes_risk(task, u, 2, 100)
 
 
 class TestSampleShots:
