@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput, MissingClassError
-from .numerics import LabelledLogits, LogitTable, argmax_rows, as_int, l1_distance
+from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
+from .numerics import LabelledLogits, LogitTable, argmax_rows, as_int, class_counts, finite_vector, l1_distance
 from .prior_estimation import (
     estimate_prior_m1,
     estimate_prior_m2,
@@ -78,16 +78,13 @@ def top1_error(logits: LogitTable, labels) -> float:
 
 def per_class_accuracy(logits: LogitTable, labels) -> np.ndarray:
     lab = LabelledLogits(logits, labels).labels
-    hits, counts = _class_counts(argmax_rows(logits.scores), lab, logits.n_classes)
+    hits, counts = _hits_and_counts(argmax_rows(logits.scores), lab, logits.n_classes)
     return hits / counts
 
 
-def _class_counts(preds: np.ndarray, lab: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _hits_and_counts(preds: np.ndarray, lab: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Correct predictions and examples per class; every class must occur."""
-    counts = np.bincount(lab, minlength=k)
-    if not counts.all():
-        raise MissingClassError(int(np.flatnonzero(counts == 0)[0]))
-    return np.bincount(lab[preds == lab], minlength=k), counts
+    return np.bincount(lab[preds == lab], minlength=k), class_counts(lab, k)
 
 
 def balanced_error(logits: LogitTable, labels) -> float:
@@ -101,19 +98,13 @@ def breakdown_groups(pi_p, k: int) -> dict:
     Ties go to the lower class index; head and tail each take floor(K/3)
     classes and medium absorbs the remainder.
     """
-    arr = np.asarray(pi_p, dtype=np.float64)
-    if arr.ndim != 1 or arr.size != as_int(k, "k"):
+    arr = finite_vector(pi_p, "pi_p")
+    if arr.size != as_int(k, "k"):
         raise DimensionError(f"pi_p length {arr.size} != K {k}")
     order = np.argsort(-arr, kind="stable")
     third = k // 3
-    head = order[:third] if third else order[:0]
-    tail = order[k - third :] if third else order[:0]
-    medium = order[third : k - third] if third else order
-    return {
-        "head": [int(c) for c in head],
-        "medium": [int(c) for c in medium],
-        "tail": [int(c) for c in tail],
-    }
+    groups = order[:third], order[third:k - third], order[k - third:]
+    return {name: group.tolist() for name, group in zip(("head", "medium", "tail"), groups)}
 
 
 def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = None) -> EvalReport:
@@ -121,7 +112,7 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
     no classes (head and tail at K < 3) has accuracy NaN."""
     lab = LabelledLogits(logits, labels).labels
     preds = argmax_rows(logits.scores)
-    hits, counts = _class_counts(preds, lab, logits.n_classes)
+    hits, counts = _hits_and_counts(preds, lab, logits.n_classes)
     acc = hits / counts
     groups = breakdown_groups(pi_p, logits.n_classes)
     breakdown = {
@@ -202,7 +193,7 @@ def run_convergence_study(
 
 def loglog_slope(study: ConvergenceStudy) -> float:
     """Least-squares slope of log mean error against log N."""
-    ns = np.array([r.n for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0], dtype=np.float64)
+    ns = np.array([r.n for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0])
     errs = np.array([r.mean_l1 for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0])
     if ns.size < 2:
         raise InvalidInput("need at least two usable rows to fit a slope")

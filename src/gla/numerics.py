@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InvalidInput
+from .errors import DimensionError, InvalidInput, MissingClassError
 
 LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
@@ -44,19 +44,42 @@ def as_real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
     return value
 
 
-def finite_vector(values, name: str) -> np.ndarray:
-    """`values` as a float64 array if it is a non-empty 1-d vector of finite
-    numbers; anything else raises InvalidInput naming `name`."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1 or not np.all(np.isfinite(arr)):
-        raise InvalidInput(f"{name} must be a non-empty 1-d vector of finite numbers")
+def finite_vector(values, name: str, ndim: int = 1) -> np.ndarray:
+    """`values` as a float64 array if it is a non-empty `ndim`-d array of
+    finite numbers (a float64 array is returned as is); anything else,
+    strings, dicts and ragged lists included, raises InvalidInput naming `name`."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.size < 1 or not np.all(np.isfinite(arr)):
+        shape = "1-d vector" if ndim == 1 else "2-d matrix"
+        raise InvalidInput(f"{name} must be a non-empty {shape} of finite numbers")
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+def check_type(value, cls: type, name: str):
+    """`value` if it is a `cls`; anything else raises InvalidInput naming `name`."""
+    if not isinstance(value, cls):
+        raise InvalidInput(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _freeze(arr: np.ndarray, dtype=np.float64) -> np.ndarray:
+    """A read-only C-contiguous copy of `arr`, so a value never shares, or
+    freezes, its caller's array."""
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
+
+
+def class_counts(labels: np.ndarray, k: int) -> np.ndarray:
+    """Examples per class of integer labels in [0, k); a class with none
+    raises MissingClassError naming the first such class."""
+    counts = np.bincount(labels, minlength=k)
+    if not counts.all():
+        raise MissingClassError(int(np.flatnonzero(counts == 0)[0]))
+    return counts
 
 
 @dataclass(frozen=True)
@@ -95,19 +118,18 @@ class ProbabilitySimplex:
 
 @dataclass(frozen=True)
 class LogitTable:
-    """N x K matrix of real-valued scores, one row per example."""
+    """N x K matrix of real-valued scores, one row per example.  Unlike the
+    other values it adopts a C-contiguous float64 array, and makes it read-only:
+    a copy would add a table-sized array to every load, draw and study cell."""
 
     scores: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.scores, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InvalidInput("scores must be a 2-d matrix")
-        if arr.shape[0] < 1 or arr.shape[1] < 2:
-            raise InvalidInput("need N >= 1 rows and K >= 2 columns")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidInput("scores must be finite")
-        object.__setattr__(self, "scores", _freeze(arr))
+        arr = np.ascontiguousarray(finite_vector(self.scores, "scores", 2))
+        if arr.shape[1] < 2:
+            raise InvalidInput(f"scores must have K >= 2 columns, got {arr.shape[1]}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "scores", arr)
 
     @property
     def n_examples(self) -> int:
@@ -126,16 +148,15 @@ class LabelledLogits:
     labels: np.ndarray
 
     def __post_init__(self):
+        check_type(self.logits, LogitTable, "logits")
         lab = np.asarray(self.labels)
         if lab.ndim != 1 or lab.shape[0] != self.logits.n_examples:
             raise DimensionError("labels length must equal number of rows")
         if not np.issubdtype(lab.dtype, np.integer):
             raise InvalidInput(f"labels must be integers, got dtype {lab.dtype}")
-        lab = np.ascontiguousarray(lab, dtype=np.int64)
         if lab.size and (lab.min() < 0 or lab.max() >= self.logits.n_classes):
             raise InvalidInput("labels must lie in [0, K)")
-        lab.flags.writeable = False
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "labels", _freeze(lab, np.int64))
 
     @property
     def n_examples(self) -> int:
@@ -178,11 +199,6 @@ def softmax_row(v) -> ProbabilitySimplex:
     return ProbabilitySimplex(softmax_matrix(arr[None, :])[0])
 
 
-def _check_simplex(value, name: str) -> None:
-    if not isinstance(value, ProbabilitySimplex):
-        raise InvalidInput(f"{name} must be a ProbabilitySimplex, got {type(value).__name__}")
-
-
 def log_prior(p: ProbabilitySimplex) -> np.ndarray:
     """Elementwise log of a simplex, flooring entries at LOG_FLOOR so the
     result is finite.
@@ -192,7 +208,7 @@ def log_prior(p: ProbabilitySimplex) -> np.ndarray:
     unaffected by the constant shift.  Entries at or above the floor are
     logged as they are.
     """
-    _check_simplex(p, "p")
+    check_type(p, ProbabilitySimplex, "p")
     floored = np.maximum(p.probs, LOG_FLOOR)
     if np.any(p.probs < LOG_FLOOR):
         floored /= floored.sum()
@@ -201,8 +217,8 @@ def log_prior(p: ProbabilitySimplex) -> np.ndarray:
 
 def l1_distance(a: ProbabilitySimplex, b: ProbabilitySimplex) -> float:
     """Total-variation-style l1 distance between two simplices."""
-    _check_simplex(a, "a")
-    _check_simplex(b, "b")
+    check_type(a, ProbabilitySimplex, "a")
+    check_type(b, ProbabilitySimplex, "b")
     if a.k != b.k:
         raise DimensionError(f"dimension mismatch: {a.k} vs {b.k}")
     return float(np.abs(a.probs - b.probs).sum())

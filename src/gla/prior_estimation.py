@@ -23,16 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, MissingClassError, OptimizationError
+from .errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, OptimizationError
 from .numerics import (
-    LabelledLogits,
-    LogitTable,
-    ProbabilitySimplex,
-    as_int,
-    as_real,
-    class_blocks,
-    softmax_matrix,
-    softmax_row,
+    SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type,
+    class_blocks, class_counts, finite_vector, softmax_matrix, softmax_row,
 )
 
 @dataclass(frozen=True)
@@ -45,17 +39,14 @@ class TransitionMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        arr = finite_vector(self.entries, "entries", 2)
+        if arr.shape[0] != arr.shape[1]:
             raise InvalidInput("entries must be a square matrix")
         if np.any(arr < 0.0) or np.any(arr > 1.0):
             raise InvalidInput("entries must lie in [0, 1]")
-        col_sums = arr.sum(axis=0)
-        if np.any(np.abs(col_sums - 1.0) > 1e-9):
+        if np.any(np.abs(arr.sum(axis=0) - 1.0) > SIMPLEX_ATOL):
             raise InvalidInput("columns must each sum to 1")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _freeze(arr))
 
     @property
     def k(self) -> int:
@@ -64,11 +55,9 @@ class TransitionMatrix:
 
 def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
     """Average the softmax predictions per labelled class into matrix columns."""
-    k = data.n_classes
+    k = check_type(data, LabelledLogits, "data").n_classes
+    class_counts(data.labels, k)
     order, bounds = class_blocks(data.labels, k)
-    missing = np.flatnonzero(bounds[1:] == bounds[:-1])
-    if missing.size:
-        raise MissingClassError(int(missing[0]))
     probs = softmax_matrix(data.logits.scores)
     cols = np.empty((k, k))
     for j in range(k):
@@ -94,7 +83,7 @@ def power_iterate(p: TransitionMatrix) -> tuple[ProbabilitySimplex, int, float]:
     check alone is not enough: on a singular system the solve can also land
     on a nonnegative mix of the blocks' stationary vectors.
     """
-    mat = p.entries
+    mat = check_type(p, TransitionMatrix, "p").entries
     q = np.full(p.k, 1.0 / p.k)
     if np.array_equal(mat @ q, q):
         return ProbabilitySimplex(q), 1, 0.0
@@ -148,12 +137,10 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     not an exception: the last iterate is returned, with a ConvergenceWarning
     naming the step count and the gradient norm.
     """
-    k = validation.n_classes
+    k = check_type(validation, LabelledLogits, "validation").n_classes
     labels = validation.labels
     n = labels.size
-    freq = np.bincount(labels, minlength=k) / n
-    if np.any(freq == 0.0):
-        raise MissingClassError(int(np.flatnonzero(freq == 0.0)[0]))
+    freq = class_counts(labels, k) / n
     # class-major (K x N): a reduction over classes is K vector passes, not N short ones
     scores = np.ascontiguousarray(validation.logits.scores.T)
     # flat index of each example's label log-posterior in a K x N array
@@ -238,7 +225,7 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
 
 def estimate_prior_naive(logits: LogitTable) -> ProbabilitySimplex:
     """Mean predicted probability over all rows (biased baseline)."""
-    mean = softmax_matrix(logits.scores).mean(axis=0)
+    mean = softmax_matrix(check_type(logits, LogitTable, "logits").scores).mean(axis=0)
     return ProbabilitySimplex(mean / mean.sum())
 
 

@@ -25,13 +25,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numerics import (
-    LabelledLogits,
-    LogitTable,
-    ProbabilitySimplex,
-    as_int,
-    as_real,
-    class_blocks,
-    log_prior,
+    LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type, class_blocks, log_prior,
 )
 
 _LABEL_STREAM = 0
@@ -55,7 +49,7 @@ class SyntheticTaskConfig:
         for name in ("pretrain_prior", "source_prior"):
             if getattr(self, name) is None:
                 object.__setattr__(self, name, ProbabilitySimplex.uniform(self.k))
-            elif getattr(self, name).k != self.k:
+            elif check_type(getattr(self, name), ProbabilitySimplex, name).k != self.k:
                 raise InvalidInput(f"{name} must have length k")
 
 
@@ -93,9 +87,7 @@ def make_task(cfg: SyntheticTaskConfig) -> SyntheticTask:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     m1 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
     m2 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
-    m1.flags.writeable = False
-    m2.flags.writeable = False
-    return SyntheticTask(cfg, m1, m2)
+    return SyntheticTask(cfg, _freeze(m1), _freeze(m2))
 
 
 def _view(view) -> int:
@@ -157,7 +149,7 @@ def sample_batch(
     task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int
 ) -> SyntheticBatch:
     """Draw n examples with labels from `prior` and fixed class-conditionals."""
-    labels = _sample_labels(task, prior, n, seed)
+    labels = _sample_labels(task, check_type(prior, ProbabilitySimplex, "prior"), n, seed)
     zs = _sample_view(task, labels, seed, 1, task.cfg.pretrain_prior)
     return SyntheticBatch(zs, _sample_view(task, labels, seed, 2, task.cfg.source_prior), labels)
 
@@ -187,6 +179,7 @@ def _monte_carlo_risk(
     """Monte-Carlo risk of the exact Bayes classifier that sees `views`: the
     views are independent given the label, so it scores the sum of their
     log-posteriors under eval_prior less all but one copy of the log prior."""
+    check_type(eval_prior, ProbabilitySimplex, "eval_prior")
     labels = _sample_labels(task, eval_prior, as_int(n_mc, "n_mc", 1), seed)
     scores = sum(_sample_view(task, labels, seed, view, eval_prior).scores for view in views)
     preds = np.argmax(scores - (len(views) - 1) * log_prior(eval_prior), axis=1)
@@ -222,7 +215,8 @@ def binary_naive_bias(p11: float, p12: float) -> dict:
     identity and its lower bound hold exactly under the stated assumption
     that both diagonal accuracies exceed 0.5.
     """
-    if not (0.0 <= p12 < p11 <= 1.0):
+    p11, p12 = as_real(p11, "p11", 0.0, 1.0), as_real(p12, "p12", 0.0, 1.0)
+    if not p12 < p11:
         raise InvalidInput("need 0 <= p12 < p11 <= 1")
     if not (p11 > 0.5 and (1.0 - p12) > 0.5):
         raise InvalidInput("both diagonal accuracies must exceed 0.5")

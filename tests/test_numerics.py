@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gla.ensemble import AdjustmentSpec
+from gla.ensemble import AdjustmentSpec, alpha_mix, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from gla.errors import DimensionError, InvalidInput
-from gla.evaluation import balanced_error, breakdown_report, per_class_accuracy, top1_error
+from gla.evaluation import balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, top1_error
+from gla.prior_estimation import (
+    TransitionMatrix,
+    build_transition_matrix,
+    estimate_prior_m1,
+    estimate_prior_m2,
+    estimate_prior_naive,
+    power_iterate,
+)
+from gla.synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_batch, single_view_bayes_risk
 from gla.numerics import (
     LabelledLogits,
     LogitTable,
@@ -83,7 +92,10 @@ class TestFiniteVector:
         arr = np.array([0.25, 0.75])
         assert finite_vector(arr, "v") is arr
 
-    @pytest.mark.parametrize("value", [[], 0.5, [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0]])
+    @pytest.mark.parametrize(
+        "value",
+        [[], 0.5, [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], ["a", "b"], {"a": 1}, [[0.5], [0.5, 0.1]]],
+    )
     @pytest.mark.parametrize(
         "entry, name",
         [
@@ -94,11 +106,36 @@ class TestFiniteVector:
             (lambda v: AdjustmentSpec(pi_s=v, pi_p=[0.0]), "pi_s"),
             (lambda v: AdjustmentSpec(pi_s=[0.0], pi_p=v), "pi_p"),
             (lambda v: AdjustmentSpec(pi_s=[0.0], pi_p=[0.0], pi_t=v), "pi_t"),
+            (lambda v: debias_zero_shot(LogitTable(np.zeros((1, 2))), v), "pi_p"),
+            (lambda v: logit_adjust(LogitTable(np.zeros((1, 2))), v), "pi_s"),
+            (lambda v: breakdown_groups(v, 2), "pi_p"),
         ],
-        ids=["simplex", "from_weights", "softmax_row", "project_to_simplex", "pi_s", "pi_p", "pi_t"],
+        ids=[
+            "simplex", "from_weights", "softmax_row", "project_to_simplex", "pi_s", "pi_p", "pi_t",
+            "debias_zero_shot", "logit_adjust", "breakdown_groups",
+        ],
     )
     def test_every_entry_point_names_its_argument(self, entry, name, value):
         with pytest.raises(InvalidInput, match=f"^{name} must be a non-empty 1-d vector of finite numbers$"):
+            entry(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[np.nan, 0.5], [0.5, 0.5]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -np.inf]],
+            [["a", "b"], ["c", "d"]],
+            [[0.5], [0.5, 0.5]],
+            "ab",
+            [0.5, 0.5],
+            np.zeros((0, 2)),
+        ],
+        ids=["nan", "inf", "-inf", "strings", "ragged", "str", "1-d", "empty"],
+    )
+    @pytest.mark.parametrize("entry, name", [(LogitTable, "scores"), (TransitionMatrix, "entries")])
+    def test_every_matrix_entry_point_names_its_argument(self, entry, name, value):
+        with pytest.raises(InvalidInput, match=f"^{name} must be a non-empty 2-d matrix of finite numbers$"):
             entry(value)
 
 
@@ -244,6 +281,84 @@ class TestSimplexArguments:
             l1_distance(value, p)
         with pytest.raises(InvalidInput, match=f"^b must be a ProbabilitySimplex, got {kind}$"):
             l1_distance(p, value)
+
+
+def _table():
+    return LogitTable(np.zeros((2, 2)))
+
+
+def _labelled():
+    return LabelledLogits(_table(), [0, 1])
+
+
+def _adj2():
+    return AdjustmentSpec(pi_s=np.log([0.5, 0.5]), pi_p=np.log([0.5, 0.5]))
+
+
+# every argument that must be one of the package's value types:
+# (entry point, argument name, the type it must be, a value of another type)
+TYPED_ARGUMENTS = {
+    "SyntheticTaskConfig.pretrain_prior": (
+        lambda v: SyntheticTaskConfig(k=2, pretrain_prior=v), "pretrain_prior", "ProbabilitySimplex", [0.5, 0.5]
+    ),
+    "SyntheticTaskConfig.source_prior": (
+        lambda v: SyntheticTaskConfig(k=2, source_prior=v), "source_prior", "ProbabilitySimplex", [0.5, 0.5]
+    ),
+    "sample_batch.prior": (
+        lambda v: sample_batch(make_task(SyntheticTaskConfig(k=2)), v, 4, 0), "prior", "ProbabilitySimplex", [0.5, 0.5]
+    ),
+    "bayes_risk.eval_prior": (
+        lambda v: bayes_risk(make_task(SyntheticTaskConfig(k=2)), v, 10), "eval_prior", "ProbabilitySimplex", [0.5, 0.5]
+    ),
+    "single_view_bayes_risk.eval_prior": (
+        lambda v: single_view_bayes_risk(make_task(SyntheticTaskConfig(k=2)), v, n_mc=10),
+        "eval_prior", "ProbabilitySimplex", np.array([0.5, 0.5]),
+    ),
+    "LabelledLogits.logits": (lambda v: LabelledLogits(v, [0, 1]), "logits", "LogitTable", np.zeros((2, 2))),
+    "top1_error.logits": (lambda v: top1_error(v, [0, 1]), "logits", "LogitTable", np.zeros((2, 2))),
+    "estimate_prior_m1.validation": (estimate_prior_m1, "validation", "LabelledLogits", _table()),
+    "estimate_prior_m2.data": (estimate_prior_m2, "data", "LabelledLogits", _table()),
+    "build_transition_matrix.data": (build_transition_matrix, "data", "LabelledLogits", _table()),
+    "power_iterate.p": (power_iterate, "p", "TransitionMatrix", np.eye(2)),
+    "estimate_prior_naive.logits": (estimate_prior_naive, "logits", "LogitTable", np.zeros((2, 2))),
+    "gla_combine.ft": (lambda v: gla_combine(v, v, None), "ft", "LogitTable", np.zeros((2, 2))),
+    "gla_combine.zs": (lambda v: gla_combine(_table(), v, _adj2()), "zs", "LogitTable", np.zeros((2, 2))),
+    "gla_combine.adj": (lambda v: gla_combine(_table(), _table(), v), "adj", "AdjustmentSpec", None),
+    "alpha_mix.adj": (lambda v: alpha_mix(_table(), _table(), v, 0.5), "adj", "AdjustmentSpec", np.zeros(2)),
+    "naive_ensemble.zs": (lambda v: naive_ensemble(_table(), v), "zs", "LogitTable", _labelled()),
+    "debias_zero_shot.zs": (lambda v: debias_zero_shot(v, [0.0, 0.0]), "zs", "LogitTable", np.zeros((2, 2))),
+    "logit_adjust.ft": (lambda v: logit_adjust(v, [0.0, 0.0]), "ft", "LogitTable", np.zeros((2, 2))),
+}
+
+
+class TestTypedArguments:
+    @pytest.mark.parametrize("case", TYPED_ARGUMENTS.values(), ids=TYPED_ARGUMENTS.keys())
+    def test_other_types_named(self, case):
+        entry, name, kind, value = case
+        with pytest.raises(InvalidInput, match=f"^{name} must be a {kind}, got {type(value).__name__}$"):
+            entry(value)
+
+
+class TestOwnership:
+    def test_values_copy_what_they_keep(self):
+        """The caller's arrays stay writable, and editing them does not reach the value."""
+        probs, entries, log_p, labels = np.array([0.5, 0.5]), np.eye(2), np.log([0.25, 0.75]), np.array([0, 1])
+        simplex, matrix = ProbabilitySimplex(probs), TransitionMatrix(entries)
+        adj = AdjustmentSpec(pi_s=log_p, pi_p=log_p, pi_t=log_p)
+        data = LabelledLogits(_table(), labels)
+        assert top1_error(_table(), labels) == 0.5
+        for arr in (probs, entries, log_p, labels):
+            assert arr.flags.writeable
+        probs[0], entries[0, 0], log_p[0], labels[0] = 0.0, 0.0, 0.0, 1
+        assert simplex.probs.tolist() == [0.5, 0.5]
+        assert matrix.entries.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert adj.pi_s.tolist() == adj.pi_p.tolist() == adj.pi_t.tolist() == np.log([0.25, 0.75]).tolist()
+        assert data.labels.tolist() == [0, 1]
+        for kept in (simplex.probs, matrix.entries, adj.pi_s, adj.pi_p, adj.pi_t, data.labels):
+            assert not kept.flags.writeable
+        # the one documented exception: a table adopts its array and freezes it
+        scores = np.zeros((2, 2))
+        assert LogitTable(scores).scores is scores and not scores.flags.writeable
 
 
 class TestL1Distance:

@@ -170,6 +170,12 @@ BOUNDED_REALS = {
     "m2_error_bound.delta": (
         lambda v: m2_error_bound(3, 10, v), "delta", [0.05, np.float32(0.5), 1e-300], [0, 0.0, 1, 1.0, 2], "(0, 1)",
     ),
+    "binary_naive_bias.p11": (
+        lambda v: binary_naive_bias(v, 0.2), "p11", [0.9, 1, 1.0, np.float32(0.875)], [-0.1, 1.5, 2], "[0, 1]",
+    ),
+    "binary_naive_bias.p12": (
+        lambda v: binary_naive_bias(0.9, v), "p12", [0.2, 0.25, np.float32(0.375)], [-0.1, 1.5, -1], "[0, 1]",
+    ),
 }
 
 
