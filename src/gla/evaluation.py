@@ -10,7 +10,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
-from .numerics import LabelledLogits, LogitTable, argmax_rows, as_int, class_counts, finite_vector, l1_distance
+from .numerics import (
+    LabelledLogits, LogitTable, argmax_rows, as_int, check_type, class_counts, finite_vector, l1_distance,
+)
 from .prior_estimation import (
     estimate_prior_m1,
     estimate_prior_m2,
@@ -157,6 +159,7 @@ def run_convergence_study(
     Estimator failures (a GlaError, or Method 1's ConvergenceWarning) are
     recorded as missing trials, and any other exception propagates.
     """
+    check_type(task_cfg, SyntheticTaskConfig, "task_cfg")
     opts = StudyOptions(shots, trials, base_seed)
     if estimator not in ESTIMATORS:
         raise InvalidInput(f"unknown estimator {estimator!r}")

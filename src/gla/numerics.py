@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,12 @@ from .errors import DimensionError, InvalidInput, MissingClassError
 
 LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
+# Row-wise kernels (the CSV codec, the row argmax, the estimators' softmax,
+# the sampler) work on blocks of about this many fields, so none holds a
+# second table-sized array.
+LOGIT_BLOCK_FIELDS = 2**16
+# numpy >= 1.25 moved it to numpy.exceptions; numpy 2 keeps it only there
+_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -47,12 +54,19 @@ def as_real(value, name: str, low: float = -math.inf, high: float = math.inf, *,
 def finite_vector(values, name: str, ndim: int = 1) -> np.ndarray:
     """`values` as a float64 array if it is a non-empty `ndim`-d array of
     finite numbers (a float64 array is returned as is); anything else,
-    strings, dicts and ragged lists included, raises InvalidInput naming `name`."""
+    strings, dicts, ragged lists and complex numbers included, raises
+    InvalidInput naming `name`."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # numpy casts complex to real with only a warning, dropping the imaginary part
+            warnings.simplefilter("error", _ComplexWarning)
+            arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError, _ComplexWarning):
         arr = None
-    if arr is None or arr.ndim != ndim or arr.size < 1 or not np.all(np.isfinite(arr)):
+    # min and max propagate NaN and meet any inf, without an array-sized mask
+    if arr is None or arr.ndim != ndim or arr.size < 1 or not (
+        math.isfinite(arr.min()) and math.isfinite(arr.max())
+    ):
         shape = "1-d vector" if ndim == 1 else "2-d matrix"
         raise InvalidInput(f"{name} must be a non-empty {shape} of finite numbers")
     return arr
@@ -178,15 +192,38 @@ def softmax_matrix(scores: np.ndarray) -> np.ndarray:
     return e
 
 
-def class_blocks(labels: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def class_blocks(labels: np.ndarray, k: int) -> tuple[np.ndarray | None, np.ndarray]:
     """Row indices grouped by label and the K+1 block bounds: the rows of
     class c are order[bounds[c]:bounds[c + 1]], in increasing order, as
     np.nonzero(labels == c) would give them.  One stable sort (a radix sort
-    on labels narrowed to the smallest unsigned type), not K label scans."""
-    order = np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable")
+    on labels narrowed to the smallest unsigned type), not K label scans.
+    Class-major labels (sorted, as in balanced shots) need no sort: order
+    is then None, and the rows of class c are bounds[c]:bounds[c + 1]."""
     bounds = np.zeros(k + 1, dtype=np.int64)
     np.cumsum(np.bincount(labels, minlength=k), out=bounds[1:])
-    return order, bounds
+    if np.all(labels[1:] >= labels[:-1]):
+        return None, bounds
+    return np.argsort(labels.astype(np.min_scalar_type(k - 1)), kind="stable"), bounds
+
+
+def row_blocks(n: int, k: int, fields: int = LOGIT_BLOCK_FIELDS):
+    """Slices of about `fields` fields (at least one row each) that cover
+    the N rows of an N x K array in order."""
+    step = max(1, fields // k)
+    return (slice(start, start + step) for start in range(0, n, step))
+
+
+def class_runs(bounds: np.ndarray, width: int):
+    """(first, last) for consecutive runs of whole classes, given the block
+    bounds of class_blocks: each run's rows, `width` fields each, fill at
+    most LOGIT_BLOCK_FIELDS fields, or hold one class that alone fills more."""
+    first, k = 0, bounds.size - 1
+    while first < k:
+        last = first + 1
+        while last < k and (bounds[last + 1] - bounds[first]) * width <= LOGIT_BLOCK_FIELDS:
+            last += 1
+        yield first, last
+        first = last
 
 
 def softmax_row(v) -> ProbabilitySimplex:
@@ -241,5 +278,12 @@ def project_to_simplex(v) -> ProbabilitySimplex:
 
 
 def argmax_rows(scores: np.ndarray) -> np.ndarray:
-    """Row argmax with ties resolved to the lowest class index."""
-    return np.argmax(np.asarray(scores), axis=-1)
+    """Row argmax of an N x K array with ties resolved to the lowest class
+    index, a block of rows at a time: numpy (2.x at least) copies a
+    read-only array, and every LogitTable is one, before an argmax along its
+    rows, so whole it would copy the table, and in blocks it copies one block."""
+    scores = np.asarray(scores)
+    preds = np.empty(scores.shape[0], dtype=np.intp)
+    for rows in row_blocks(*scores.shape):
+        np.argmax(scores[rows], axis=-1, out=preds[rows])
+    return preds

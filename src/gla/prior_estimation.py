@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, OptimizationError
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type,
-    class_blocks, class_counts, finite_vector, softmax_matrix, softmax_row,
+    class_blocks, class_counts, class_runs, finite_vector, row_blocks, softmax_matrix, softmax_row,
 )
 
 @dataclass(frozen=True)
@@ -54,14 +54,24 @@ class TransitionMatrix:
 
 
 def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
-    """Average the softmax predictions per labelled class into matrix columns."""
+    """Average the softmax predictions per labelled class into matrix columns.
+
+    The softmax is taken over a run of whole classes at a time, as many as
+    fit in LOGIT_BLOCK_FIELDS fields (at least one), so the fit holds one
+    run, not a softmax of the whole table.  Softmax is row-wise and each
+    column mean adds the same rows in the same order, so the bits are those
+    of one whole-table softmax.
+    """
     k = check_type(data, LabelledLogits, "data").n_classes
     class_counts(data.labels, k)
     order, bounds = class_blocks(data.labels, k)
-    probs = softmax_matrix(data.logits.scores)
+    scores = data.logits.scores
     cols = np.empty((k, k))
-    for j in range(k):
-        cols[:, j] = probs[order[bounds[j]:bounds[j + 1]]].mean(axis=0)
+    for first, last in class_runs(bounds, k):
+        lo, hi = bounds[first], bounds[last]
+        probs = softmax_matrix(scores[lo:hi] if order is None else scores[order[lo:hi]])
+        for j in range(first, last):
+            cols[:, j] = probs[bounds[j] - lo:bounds[j + 1] - lo].mean(axis=0)
     return TransitionMatrix(cols)
 
 
@@ -224,8 +234,21 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
 
 
 def estimate_prior_naive(logits: LogitTable) -> ProbabilitySimplex:
-    """Mean predicted probability over all rows (biased baseline)."""
-    mean = softmax_matrix(check_type(logits, LogitTable, "logits").scores).mean(axis=0)
+    """Mean predicted probability over all rows (biased baseline).
+
+    The softmax is taken a block of rows at a time.  Each block's first row
+    takes the running column sum before the block is reduced, and numpy
+    reduces axis 0 row after row, so the rows are added in their original
+    order: the bits are those of one whole-table softmax and mean.
+    """
+    scores = check_type(logits, LogitTable, "logits").scores
+    total = None
+    for rows in row_blocks(*scores.shape):
+        probs = softmax_matrix(scores[rows])
+        if total is not None:
+            probs[0] += total
+        total = probs.sum(axis=0)
+    mean = total / scores.shape[0]
     return ProbabilitySimplex(mean / mean.sum())
 
 

@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numerics import (
-    LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type, class_blocks, log_prior,
+    LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type, class_blocks, class_runs,
+    log_prior,
 )
 
 _LABEL_STREAM = 0
@@ -84,6 +85,7 @@ def _class_means(k: int, dim: int, separation: float, rng: np.random.Generator) 
 
 def make_task(cfg: SyntheticTaskConfig) -> SyntheticTask:
     """Deterministically derive class means for the two feature views."""
+    check_type(cfg, SyntheticTaskConfig, "cfg")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     m1 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
     m2 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
@@ -97,6 +99,23 @@ def _view(view) -> int:
     return view
 
 
+def _log_likelihoods_into(x: np.ndarray, means: np.ndarray, half_sq_means: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write x·μᵀ - ‖x‖²/2 - ‖μ‖²/2 into the N x K array `out`, in place;
+    `half_sq_means` is ‖μ‖²/2 per class."""
+    np.einsum("nd,kd->nk", x, means, out=out)
+    half_sq_x = np.einsum("nd,nd->n", x, x)
+    half_sq_x /= 2.0
+    out -= half_sq_x[:, None]
+    out -= half_sq_means
+    return out
+
+
+def _means(task: SyntheticTask, view: int) -> tuple[np.ndarray, np.ndarray]:
+    """The view's class means, and ‖μ‖²/2 per class."""
+    means = task.means_view1 if view == 1 else task.means_view2
+    return means, np.einsum("kd,kd->k", means, means) / 2.0
+
+
 def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.ndarray:
     """Exact Gaussian log-densities, one column per class, up to a constant.
 
@@ -106,37 +125,56 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     BLAS product takes a different kernel for a single row than for a
     batch, and its last bits then depend on what else is in the batch.
     Here a row's logits are the same bits whether it is scored alone or
-    with any other rows, which label-shift faithfulness needs.
+    with any other rows, which label-shift faithfulness needs, and which
+    lets the sampler score one class block at a time.
     """
-    means = task.means_view1 if _view(view) == 1 else task.means_view2
-    scores = np.einsum("nd,kd->nk", x, means)
-    scores -= np.einsum("nd,nd->n", x, x)[:, None] / 2.0
-    scores -= np.einsum("kd,kd->k", means, means) / 2.0
-    return scores
+    means, half_sq_means = _means(task, _view(view))
+    x = np.asarray(x)
+    return _log_likelihoods_into(x, means, half_sq_means, np.empty((x.shape[0], means.shape[0])))
 
 
 def _sample_view(
     task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex
 ) -> LogitTable:
     """Draw one view's features on its per-class seed streams and score them:
-    the view's class log-likelihoods plus log `prior`, added in place."""
+    the view's class log-likelihoods plus log `prior`.
+
+    A run of whole classes at a time (one class block, or as many as fit in
+    LOGIT_BLOCK_FIELDS fields): their features are drawn, then scored in
+    place straight into the output rows when the labels are class-major
+    (as in shots), or into a buffer scattered into the classes' rows
+    otherwise.  So the draw holds the output table and one run, never an
+    N×D feature array or an N×K temporary.  A row's bits do not depend on
+    the rest of the batch, so they are those of one whole-batch scoring.
+    """
     cfg = task.cfg
-    means = task.means_view1 if view == 1 else task.means_view2
-    x = np.empty((labels.size, cfg.dim))
+    means, half_sq_means = _means(task, view)
+    shift = log_prior(prior)
+    scores = np.empty((labels.size, cfg.k))
     order, bounds = class_blocks(labels, cfg.k)
-    for c in range(cfg.k):
-        idx = order[bounds[c]:bounds[c + 1]]
-        if idx.size == 0:
-            continue
-        rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
-        x[idx] = means[c] + rng_c.standard_normal((idx.size, cfg.dim))
-    scores = class_log_likelihoods(task, x, view=view)
-    scores += log_prior(prior)
+    runs = list(class_runs(bounds, cfg.k))
+    largest = max(bounds[last] - bounds[first] for first, last in runs)
+    x_buf = np.empty((largest, cfg.dim))
+    block_buf = None if order is None else np.empty((largest, cfg.k))
+    for first, last in runs:
+        lo, hi = bounds[first], bounds[last]
+        x = x_buf[:hi - lo]
+        for c in range(first, last):
+            if bounds[c] < bounds[c + 1]:
+                rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
+                x_c = rng_c.standard_normal(out=x[bounds[c] - lo:bounds[c + 1] - lo])
+                x_c += means[c]
+        block = scores[lo:hi] if order is None else block_buf[:hi - lo]
+        _log_likelihoods_into(x, means, half_sq_means, block)
+        block += shift
+        if order is not None:
+            scores[order[lo:hi]] = block
     return LogitTable(scores)
 
 
 def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
     """Draw n labels from `prior` on the seed's label stream."""
+    check_type(task, SyntheticTask, "task")
     as_int(n, "n", 1)
     if prior.k != task.cfg.k:
         raise InvalidInput("prior length must equal k")
@@ -160,6 +198,7 @@ def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> Labelle
     batch at n is the first n rows of each class block of the batch at any
     larger count with the same seed, which the convergence study relies on
     to share one draw per trial."""
+    check_type(task, SyntheticTask, "task")
     as_int(n_per_class, "n_per_class", 1)
     as_int(seed, "seed", 0)
     labels = np.repeat(np.arange(task.cfg.k, dtype=np.int64), n_per_class)

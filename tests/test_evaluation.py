@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,6 +56,35 @@ class TestTop1Error:
     def test_float_labels_rejected(self):
         with pytest.raises(InvalidInput):
             top1_error(LogitTable(np.zeros((2, 2))), [1.5, 0.2])
+
+
+class TestReportMemory:
+    """Metrics on a read-only table, at K=100 and 20k rows: numpy copies a
+    read-only array for a row argmax, so a whole-table argmax would copy it."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        k = 100
+        return zero_shot_shots(make_task(SyntheticTaskConfig(k=k, dim=32, mean_separation=3.0, seed=5)), 200, seed=6)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_top1_error_holds_a_tenth_of_a_table(self, data):
+        assert not data.logits.scores.flags.writeable
+        assert self.traced_peak(top1_error, data.logits, data.labels) <= 0.1 * data.logits.scores.nbytes
+
+    def test_breakdown_report_holds_a_tenth_of_a_table(self, data):
+        pi_p = np.linspace(1.0, 2.0, data.n_classes)
+        peak = self.traced_peak(breakdown_report, data.logits, data.labels, pi_p)
+        assert peak <= 0.1 * data.logits.scores.nbytes
 
 
 class TestBalancedError:

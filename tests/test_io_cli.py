@@ -14,7 +14,7 @@ from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
 from gla.io_formats import (
-    LOGIT_BLOCK_FIELDS,
+    CSV_WRITE_BLOCK_FIELDS,
     PriorDocument,
     atomic_write_text,
     load_logits,
@@ -25,7 +25,7 @@ from gla.io_formats import (
     save_prior,
     save_report,
 )
-from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex
+from gla.numerics import LOGIT_BLOCK_FIELDS, LabelledLogits, LogitTable, ProbabilitySimplex
 
 
 @pytest.fixture(autouse=True)
@@ -183,10 +183,11 @@ class TestLogitStreaming:
     @pytest.mark.parametrize("k", [2, 10, 1000])
     @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
     def test_bytes_at_block_edges(self, tmp_path, k, labelled):
-        step = max(1, LOGIT_BLOCK_FIELDS // (k + 1))
+        # the edges of the reader's blocks and of the writer's smaller ones
+        steps = [max(1, fields // (k + 1)) for fields in (LOGIT_BLOCK_FIELDS, CSV_WRITE_BLOCK_FIELDS)]
         rng = np.random.default_rng(k)
         path = tmp_path / "t.csv"
-        for n in (step - 1, step, step + 1, 2 * step + 1):
+        for n in sorted({n for step in steps for n in (step - 1, step, step + 1, 2 * step + 1) if n >= 1}):
             scores = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
             scores[0, 0], scores[-1, -1] = -0.0, 5e-324
             labels = rng.integers(0, k, n) if labelled else None

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis.extra.numpy import arrays
 
 from gla.ensemble import AdjustmentSpec, alpha_mix, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from gla.errors import DimensionError, InvalidInput
-from gla.evaluation import balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, top1_error
+from gla.evaluation import (
+    balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, run_convergence_study, top1_error,
+)
+from gla.io_formats import save_logits
 from gla.prior_estimation import (
     TransitionMatrix,
     build_transition_matrix,
@@ -18,12 +22,16 @@ from gla.prior_estimation import (
     estimate_prior_naive,
     power_iterate,
 )
-from gla.synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_batch, single_view_bayes_risk
+from gla.synthlab import (
+    SyntheticTaskConfig, bayes_risk, make_task, sample_batch, sample_shots, single_view_bayes_risk, zero_shot_shots,
+)
 from gla.numerics import (
+    LOGIT_BLOCK_FIELDS,
     LabelledLogits,
     LogitTable,
     ProbabilitySimplex,
     as_int,
+    argmax_rows,
     as_real,
     finite_vector,
     l1_distance,
@@ -92,9 +100,21 @@ class TestFiniteVector:
         arr = np.array([0.25, 0.75])
         assert finite_vector(arr, "v") is arr
 
+    def test_accepts_the_largest_finite_entries_without_warning(self):
+        big = np.full((3, 2), np.finfo(np.float64).max)
+        big[0, 0] = -big[0, 0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert finite_vector(big, "m", 2) is big
+            assert finite_vector([1e308, 1e308, -1.0], "v").tolist() == [1e308, 1e308, -1.0]
+
     @pytest.mark.parametrize(
         "value",
-        [[], 0.5, [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], ["a", "b"], {"a": 1}, [[0.5], [0.5, 0.1]]],
+        [
+            [], 0.5, [[0.5, 0.5]], [np.nan, 1.0], [np.inf, 0.0], [-np.inf, 1.0], ["a", "b"], {"a": 1}, [[0.5], [0.5, 0.1]],
+            # complex, even with a zero imaginary part: numpy would drop it with only a warning
+            np.array([0.5 + 1j, 0.5]), np.array([0.5 + 0j, 0.5 + 0j]), [np.complex128(0.5 + 1j), 0.5], [0.5 + 1j, 0.5],
+        ],
     )
     @pytest.mark.parametrize(
         "entry, name",
@@ -130,8 +150,11 @@ class TestFiniteVector:
             "ab",
             [0.5, 0.5],
             np.zeros((0, 2)),
+            np.array([[1.0 + 1j, 0.0], [0.0, 1.0]]),
+            np.eye(2, dtype=np.complex64),
+            [[np.complex128(1.0), 0.0], [0.0, 1.0]],
         ],
-        ids=["nan", "inf", "-inf", "strings", "ragged", "str", "1-d", "empty"],
+        ids=["nan", "inf", "-inf", "strings", "ragged", "str", "1-d", "empty", "complex", "complex64", "complex-scalar"],
     )
     @pytest.mark.parametrize("entry, name", [(LogitTable, "scores"), (TransitionMatrix, "entries")])
     def test_every_matrix_entry_point_names_its_argument(self, entry, name, value):
@@ -328,6 +351,21 @@ TYPED_ARGUMENTS = {
     "naive_ensemble.zs": (lambda v: naive_ensemble(_table(), v), "zs", "LogitTable", _labelled()),
     "debias_zero_shot.zs": (lambda v: debias_zero_shot(v, [0.0, 0.0]), "zs", "LogitTable", np.zeros((2, 2))),
     "logit_adjust.ft": (lambda v: logit_adjust(v, [0.0, 0.0]), "ft", "LogitTable", np.zeros((2, 2))),
+    "make_task.cfg": (make_task, "cfg", "SyntheticTaskConfig", {"k": 2}),
+    "sample_batch.task": (lambda v: sample_batch(v, ProbabilitySimplex.uniform(2), 4, 0), "task", "SyntheticTask", np.zeros(2)),
+    "sample_shots.task": (lambda v: sample_shots(v, 4, 0), "task", "SyntheticTask", SyntheticTaskConfig(k=2)),
+    "zero_shot_shots.task": (lambda v: zero_shot_shots(v, 4, 0), "task", "SyntheticTask", None),
+    "bayes_risk.task": (lambda v: bayes_risk(v, ProbabilitySimplex.uniform(2), 10), "task", "SyntheticTask", None),
+    "single_view_bayes_risk.task": (
+        lambda v: single_view_bayes_risk(v, ProbabilitySimplex.uniform(2), n_mc=10), "task", "SyntheticTask", "task",
+    ),
+    "run_convergence_study.task_cfg": (
+        lambda v: run_convergence_study(v, "m2", [10], 1), "task_cfg", "SyntheticTaskConfig", None,
+    ),
+    # the check comes before any write: a path in a missing directory is never opened
+    "save_logits.table": (
+        lambda v: save_logits("no-such-dir/t.csv", v), "table", "LogitTable", np.zeros((2, 2)),
+    ),
 }
 
 
@@ -359,6 +397,30 @@ class TestOwnership:
         # the one documented exception: a table adopts its array and freezes it
         scores = np.zeros((2, 2))
         assert LogitTable(scores).scores is scores and not scores.flags.writeable
+
+
+class TestArgmaxRows:
+    """Blocked row argmax against np.argmax of a writable copy of the whole table."""
+
+    @pytest.mark.parametrize("k", [2, 20, 1000])
+    @pytest.mark.parametrize("rows", ["below", "equal", "above", "not_multiple"])
+    def test_matches_whole_table_argmax(self, k, rows):
+        step = max(1, LOGIT_BLOCK_FIELDS // k)
+        n = {"below": step - 1, "equal": step, "above": step + 1, "not_multiple": 2 * step + 7}[rows]
+        rng = np.random.default_rng([k, n])
+        # small integers: most rows have tied maxima
+        scores = rng.integers(0, 3, size=(n, k)).astype(np.float64)
+        scores[::2] = rng.normal(size=scores[::2].shape)
+        table = LogitTable(scores.copy())
+        preds = argmax_rows(table.scores)
+        assert preds.dtype == np.intp
+        assert np.array_equal(preds, np.argmax(scores, axis=1))
+        # ties go to the lowest index: the first column holding the row maximum
+        assert np.array_equal(preds, (scores == scores.max(axis=1, keepdims=True)).argmax(axis=1))
+        assert np.any((scores == scores.max(axis=1, keepdims=True)).sum(axis=1) > 1)
+
+    def test_empty_table(self):
+        assert argmax_rows(np.zeros((0, 3))).shape == (0,)
 
 
 class TestL1Distance:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gla.errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, MissingClassError
-from gla.numerics import LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance, softmax_matrix
+from gla.numerics import LOGIT_BLOCK_FIELDS, LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance, softmax_matrix
 from gla import prior_estimation
 from gla.prior_estimation import (
     TransitionMatrix,
@@ -396,8 +396,59 @@ class TestEstimatorMemory:
         # the class-major scores and three reused buffers
         assert traced_peak(estimate_prior_m1, data) <= 4.5 * data.logits.scores.nbytes
 
-    def test_m2_holds_one_table(self, data):
-        assert traced_peak(estimate_prior_m2, data) <= 1.5 * data.logits.scores.nbytes
+    def test_m2_holds_a_fraction_of_a_table(self, data):
+        # one run of whole classes at a time, never a softmax of the whole table
+        assert traced_peak(estimate_prior_m2, data) <= 0.25 * data.logits.scores.nbytes
 
-    def test_naive_holds_one_table(self, data):
-        assert traced_peak(estimate_prior_naive, data.logits) <= 1.5 * data.logits.scores.nbytes
+    def test_naive_holds_a_fraction_of_a_table(self, data):
+        # one block of rows at a time
+        assert traced_peak(estimate_prior_naive, data.logits) <= 0.25 * data.logits.scores.nbytes
+
+
+def unblocked_softmax(scores):
+    """Row softmax of the whole table at once, the formula the blocked kernels reproduce."""
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def block_rows(k):
+    """Rows per block of the row-wise kernels."""
+    return max(1, LOGIT_BLOCK_FIELDS // k)
+
+
+def wide_scores(rng, n, k):
+    """Scores over a wide range, so each softmax has large and tiny entries."""
+    return rng.normal(size=(n, k)) * rng.choice([0.1, 3.0, 40.0], size=(n, 1))
+
+
+class TestBlockIdentity:
+    """The blocked estimators are bit for bit their whole-table formulas."""
+
+    @pytest.mark.parametrize("k", [2, 20, 1000])
+    @pytest.mark.parametrize("rows", ["below", "equal", "above", "not_multiple"])
+    def test_naive_matches_whole_table_mean(self, k, rows):
+        step = block_rows(k)
+        n = {"below": step - 1, "equal": step, "above": step + 1, "not_multiple": 2 * step + 7}[rows]
+        scores = wide_scores(np.random.default_rng([k, n]), n, k)
+        mean = unblocked_softmax(scores).mean(axis=0)
+        assert np.array_equal(estimate_prior_naive(LogitTable(scores)).probs, mean / mean.sum())
+
+    # shots per class: many classes to a block, classes that fill a block
+    # exactly (K=2) or nearly, and classes larger than a block on their own
+    @pytest.mark.parametrize(
+        "k, shots",
+        [(2, 3), (2, LOGIT_BLOCK_FIELDS // 2), (2, LOGIT_BLOCK_FIELDS // 2 + 1),
+         (20, 3), (20, LOGIT_BLOCK_FIELDS // 20), (20, LOGIT_BLOCK_FIELDS // 20 + 1),
+         (1000, 1), (1000, 3)],
+    )
+    @pytest.mark.parametrize("order", ["class_major", "shuffled"])
+    def test_transition_matrix_matches_whole_table_means(self, k, shots, order):
+        rng = np.random.default_rng([k, shots])
+        # uneven classes: class 0 has five rows more than the others
+        labels = np.concatenate([np.repeat(np.arange(k), shots), np.zeros(5, dtype=np.int64)])
+        labels = rng.permutation(labels) if order == "shuffled" else np.sort(labels)
+        scores = wide_scores(rng, labels.size, k)
+        probs = unblocked_softmax(scores)
+        expected = np.stack([probs[labels == j].mean(axis=0) for j in range(k)], axis=1)
+        data = LabelledLogits(LogitTable(scores), labels)
+        assert np.array_equal(build_transition_matrix(data).entries, expected)

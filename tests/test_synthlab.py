@@ -335,6 +335,24 @@ class TestSampleShots:
         assert batch.zs_logits.scores.shape == (10_000, 1000)
         assert peak < 512e6, f"peak {peak / 1e6:.0f} MB"
 
+    def test_zero_shot_shots_holds_its_output_and_one_class_block(self):
+        # the features and scores of one class at a time, written in place
+        # into the output: no N×D feature array and no N×K temporary.  The
+        # quarter block covers the row norms and numpy's fixed 64 KB buffer
+        # for a broadcast in-place add.
+        k, n = 20, 5000
+        task = make_task(SyntheticTaskConfig(k=k, dim=20, seed=30))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            shots = zero_shot_shots(task, n, seed=31)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        output = shots.logits.scores.nbytes + shots.labels.nbytes
+        class_block = n * k * 8
+        assert peak <= output + 1.25 * class_block, f"{(peak - output) / class_block:.2f} class blocks"
+
     def test_exact_counts(self):
         cfg = SyntheticTaskConfig(k=3, dim=3, seed=18)
         batch = sample_shots(make_task(cfg), 7, seed=19)
