@@ -145,33 +145,45 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
     Stops when the l1 gradient norm falls below M1_TOL, after M1_MAX_ITERS
     steps, or when neither direction decreases the risk.  Non-convergence is
     not an exception: the last iterate is returned, with a ConvergenceWarning
-    naming the step count and the gradient norm.
+    naming the step count and the gradient norm.  Each trial point is scored
+    by one exponential pass, which leaves its normalized posteriors behind:
+    the next step reads its gradient and Hessian from the accepted trial's.
     """
     k = check_type(validation, LabelledLogits, "validation").n_classes
     labels = validation.labels
     n = labels.size
     freq = class_counts(labels, k) / n
-    # class-major (K x N): a reduction over classes is K vector passes, not N short ones
-    scores = np.ascontiguousarray(validation.logits.scores.T)
-    # flat index of each example's label log-posterior in a K x N array
+    # The fit's only K x N arrays: the scores class-major (K x N, so a
+    # reduction over classes is K vector passes, not N short ones), the
+    # current posteriors and a line search's trial.  They are one allocation
+    # because glibc raises its dynamic mmap and trim thresholds to the size
+    # of a freed mapping: one block of three tables then stays in the heap
+    # between fits, while three separate tables would be trimmed after each
+    # fit and page-faulted in again by the next.
+    scores, current, trial_buf = np.empty((3, k, n))
+    np.copyto(scores, validation.logits.scores.T)
+    # flat index of each example's label score in a K x N array
     picks = labels * n + np.arange(n)
-    # the fit's only K x N arrays besides `scores`: the current log-posteriors,
-    # a line search's trial, and scratch for exponentials
-    current, trial_buf, scratch = (np.empty_like(scores) for _ in range(3))
 
-    def risk(u, logp):
-        """The risk at u; the log-posteriors are left in `logp`."""
-        np.add(scores, u[:, None], out=logp)
-        logp -= logp.max(axis=0)
-        logp -= np.log(np.exp(logp, out=scratch).sum(axis=0))
-        value = float(-np.mean(np.take(logp, picks)))
+    def risk(u, probs):
+        """The risk at u, and each example's log-normalizer; the normalized
+        posteriors are left in `probs`."""
+        np.add(scores, u[:, None], out=probs)
+        top = probs.max(axis=0)
+        probs -= top
+        picked = np.take(probs, picks)
+        total = np.exp(probs, out=probs).sum(axis=0)
+        log_total = np.log(total)
+        value = float(np.mean(log_total - picked))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
-        return value
+        probs /= total
+        return value, top + log_total
 
-    def search(u, value, grad, direction, logp):
-        """Armijo backtracking along -direction, each trial's log-posteriors
-        written to `logp`: (risk, u, logp, t), or None if nothing decreases.
+    def search(u, value, grad, direction, probs):
+        """Armijo backtracking along -direction, each trial's posteriors
+        written to `probs`: (risk, u, probs, log-normalizers, t), or None if
+        nothing decreases.
 
         A rise within the risk's float resolution is accepted: near the
         optimum the predicted decrease falls below it, and a strict test
@@ -182,39 +194,44 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         t = 1.0
         for _ in range(40):
             trial = u - t * direction
-            trial_value = risk(trial, logp)
+            trial_value, lognorm = risk(trial, probs)
             if trial_value <= value - 1e-4 * t * slope + slack:
-                return trial_value, trial, logp, t
+                return trial_value, trial, probs, lognorm, t
             t *= 0.5
         return None
 
     u = np.zeros(k)
-    value = risk(u, current)
+    value, lognorm = risk(u, current)
     newton_won = False
     for steps in range(M1_MAX_ITERS + 1):
-        probs = np.exp(current, out=scratch)
-        mean = probs.mean(axis=1)
+        mean = current.mean(axis=1)
         grad = mean - freq
         norm = float(np.abs(grad).sum())
         if norm < M1_TOL or steps == M1_MAX_ITERS:
             break
         # the 1/K term fixes the shift null-space; the norm^2 damping keeps the
         # matrix nonsingular when some class is never predicted
-        hess = np.diag(mean + norm * norm) - probs @ probs.T / n + 1.0 / k
+        hess = np.diag(mean + norm * norm) - current @ current.T / n + 1.0 / k
         found = [search(u, value, grad, np.linalg.solve(hess, grad), trial_buf)]
-        if not (newton_won and found[0] and found[0][3] == 1.0):
-            # log of the mean prediction, without underflow for unpredicted classes
-            top = current.max(axis=1)
-            shifted = np.subtract(current, top[:, None], out=scratch)
-            scaling = top + np.log(np.exp(shifted, out=scratch).mean(axis=1)) - np.log(freq)
-            # `current` is dead once the scaling direction is formed: its
-            # search writes its trials there
+        if not (newton_won and found[0] and found[0][4] == 1.0):
+            if mean.min() >= np.finfo(np.float64).tiny:
+                scaling = np.log(mean) - np.log(freq)
+            else:
+                # some class's mean posterior underflows: take the log of the
+                # mean in log space, from the log-posteriors rebuilt in
+                # `current`, which is dead once the scaling direction is
+                # formed (its search writes its trials there)
+                logp = np.add(scores, u[:, None], out=current)
+                logp -= lognorm
+                top = logp.max(axis=1)
+                logp -= top[:, None]
+                scaling = top + np.log(np.exp(logp, out=logp).mean(axis=1)) - np.log(freq)
             found.append(search(u, value, grad, scaling, current))
         found = [r for r in found if r]
         if not found:
             break  # no decrease left at float precision
-        value, u, logp, _ = min(found, key=lambda r: r[0])
-        newton_won = logp is trial_buf
+        value, u, probs, lognorm, _ = min(found, key=lambda r: r[0])
+        newton_won = probs is trial_buf
         if newton_won:
             current, trial_buf = trial_buf, current
     q = softmax_row(-u)
@@ -222,7 +239,7 @@ def estimate_prior_m1(validation: LabelledLogits) -> ProbabilitySimplex:
         # the optimum underflows: measure the gradient at the prior returned,
         # a zero entry read as the smallest normal float
         risk(-np.log(np.maximum(q.probs, np.finfo(np.float64).tiny)), current)
-        norm = float(np.abs(np.exp(current, out=scratch).mean(axis=1) - freq).sum())
+        norm = float(np.abs(current.mean(axis=1) - freq).sum())
     if norm >= M1_TOL:
         warnings.warn(
             f"Method 1 did not converge: stopped after {steps} steps with l1 "

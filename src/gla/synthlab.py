@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidInput
 from .numerics import (
-    LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type, class_blocks, class_runs,
-    log_prior,
+    LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, argmax_rows, as_int, as_real, check_type, class_blocks,
+    class_runs, log_prior,
 )
 
 _LABEL_STREAM = 0
@@ -134,28 +134,32 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
 
 
 def _sample_view(
-    task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex
-) -> LogitTable:
+    task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex,
+    into: np.ndarray | None = None,
+) -> np.ndarray:
     """Draw one view's features on its per-class seed streams and score them:
-    the view's class log-likelihoods plus log `prior`.
+    the view's class log-likelihoods plus log `prior`, as a new writable N×K
+    array, or added in place into the N×K array `into`, which is returned.
 
     A run of whole classes at a time (one class block, or as many as fit in
     LOGIT_BLOCK_FIELDS fields): their features are drawn, then scored in
     place straight into the output rows when the labels are class-major
-    (as in shots), or into a buffer scattered into the classes' rows
-    otherwise.  So the draw holds the output table and one run, never an
-    N×D feature array or an N×K temporary.  A row's bits do not depend on
-    the rest of the batch, so they are those of one whole-batch scoring.
+    (as in shots) and nothing is added into, or into a buffer that is
+    scattered into (or added onto) the classes' rows otherwise.  So the draw
+    holds the output table and one run, never an N×D feature array or an
+    N×K temporary.  A row's bits do not depend on the rest of the batch, so
+    they are those of one whole-batch scoring.
     """
     cfg = task.cfg
     means, half_sq_means = _means(task, view)
     shift = log_prior(prior)
-    scores = np.empty((labels.size, cfg.k))
+    scores = np.empty((labels.size, cfg.k)) if into is None else into
     order, bounds = class_blocks(labels, cfg.k)
     runs = list(class_runs(bounds, cfg.k))
     largest = max(bounds[last] - bounds[first] for first, last in runs)
     x_buf = np.empty((largest, cfg.dim))
-    block_buf = None if order is None else np.empty((largest, cfg.k))
+    direct = order is None and into is None
+    block_buf = None if direct else np.empty((largest, cfg.k))
     for first, last in runs:
         lo, hi = bounds[first], bounds[last]
         x = x_buf[:hi - lo]
@@ -164,12 +168,16 @@ def _sample_view(
                 rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
                 x_c = rng_c.standard_normal(out=x[bounds[c] - lo:bounds[c + 1] - lo])
                 x_c += means[c]
-        block = scores[lo:hi] if order is None else block_buf[:hi - lo]
+        block = scores[lo:hi] if direct else block_buf[:hi - lo]
         _log_likelihoods_into(x, means, half_sq_means, block)
         block += shift
-        if order is not None:
-            scores[order[lo:hi]] = block
-    return LogitTable(scores)
+        if not direct:
+            rows = slice(lo, hi) if order is None else order[lo:hi]
+            if into is None:
+                scores[rows] = block
+            else:
+                scores[rows] += block
+    return scores
 
 
 def _sample_labels(task: SyntheticTask, prior: ProbabilitySimplex, n: int, seed: int) -> np.ndarray:
@@ -188,8 +196,8 @@ def sample_batch(
 ) -> SyntheticBatch:
     """Draw n examples with labels from `prior` and fixed class-conditionals."""
     labels = _sample_labels(task, check_type(prior, ProbabilitySimplex, "prior"), n, seed)
-    zs = _sample_view(task, labels, seed, 1, task.cfg.pretrain_prior)
-    return SyntheticBatch(zs, _sample_view(task, labels, seed, 2, task.cfg.source_prior), labels)
+    zs = LogitTable(_sample_view(task, labels, seed, 1, task.cfg.pretrain_prior))
+    return SyntheticBatch(zs, LogitTable(_sample_view(task, labels, seed, 2, task.cfg.source_prior)), labels)
 
 
 def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> LabelledLogits:
@@ -202,13 +210,13 @@ def zero_shot_shots(task: SyntheticTask, n_per_class: int, seed: int) -> Labelle
     as_int(n_per_class, "n_per_class", 1)
     as_int(seed, "seed", 0)
     labels = np.repeat(np.arange(task.cfg.k, dtype=np.int64), n_per_class)
-    return LabelledLogits(_sample_view(task, labels, seed, 1, task.cfg.pretrain_prior), labels)
+    return LabelledLogits(LogitTable(_sample_view(task, labels, seed, 1, task.cfg.pretrain_prior)), labels)
 
 
 def sample_shots(task: SyntheticTask, n_per_class: int, seed: int) -> SyntheticBatch:
     """Draw exactly n_per_class examples of every class (balanced N-shot)."""
     zs = zero_shot_shots(task, n_per_class, seed)
-    ft = _sample_view(task, zs.labels, seed, 2, task.cfg.source_prior)
+    ft = LogitTable(_sample_view(task, zs.labels, seed, 2, task.cfg.source_prior))
     return SyntheticBatch(zs.logits, ft, zs.labels)
 
 
@@ -217,12 +225,16 @@ def _monte_carlo_risk(
 ) -> float:
     """Monte-Carlo risk of the exact Bayes classifier that sees `views`: the
     views are independent given the label, so it scores the sum of their
-    log-posteriors under eval_prior less all but one copy of the log prior."""
+    log-posteriors under eval_prior less all but one copy of the log prior.
+    The views are added into the first view's table in place, so the draw
+    holds one N×K table."""
     check_type(eval_prior, ProbabilitySimplex, "eval_prior")
     labels = _sample_labels(task, eval_prior, as_int(n_mc, "n_mc", 1), seed)
-    scores = sum(_sample_view(task, labels, seed, view, eval_prior).scores for view in views)
-    preds = np.argmax(scores - (len(views) - 1) * log_prior(eval_prior), axis=1)
-    return float(np.mean(preds != labels))
+    scores = _sample_view(task, labels, seed, views[0], eval_prior)
+    for view in views[1:]:
+        _sample_view(task, labels, seed, view, eval_prior, into=scores)
+    scores -= (len(views) - 1) * log_prior(eval_prior)
+    return float(np.mean(argmax_rows(scores) != labels))
 
 
 def bayes_risk(

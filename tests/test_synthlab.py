@@ -457,6 +457,40 @@ class TestBayesRisk:
             risk(task, ProbabilitySimplex.uniform(2), n_mc=0, seed=27)
 
 
+    @pytest.mark.parametrize("views", [(1, 2), (1,), (2,)])
+    def test_matches_whole_table_formula(self, views):
+        # with every prior equal to eval_prior, sample_batch draws the same
+        # labels and the same per-view tables that the risk adds up
+        k = 20
+        prior = ProbabilitySimplex.from_weights(np.arange(1.0, k + 1))
+        task = make_task(SyntheticTaskConfig(k=k, dim=8, mean_separation=2.0, pretrain_prior=prior,
+                                             source_prior=prior, seed=40))
+        batch = sample_batch(task, prior, 5000, seed=41)
+        tables = {1: batch.zs_logits.scores, 2: batch.ft_logits.scores}
+        scores = sum(tables[view] for view in views) - (len(views) - 1) * log_prior(prior)
+        expected = float(np.mean(np.argmax(scores, axis=1) != batch.labels))
+        if views == (1, 2):
+            assert bayes_risk(task, prior, 5000, seed=41) == expected
+        else:
+            assert single_view_bayes_risk(task, prior, views[0], 5000, seed=41) == expected
+
+    @pytest.mark.parametrize("risk", [bayes_risk, single_view_bayes_risk])
+    def test_holds_one_table(self, risk):
+        # each view is drawn a class run at a time, the second added into the
+        # first view's table and the prior shift subtracted in place
+        k, n = 100, 50_000
+        task = make_task(SyntheticTaskConfig(k=k, dim=32, mean_separation=3.0, seed=3))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            risk(task, ProbabilitySimplex.uniform(k), n_mc=n, seed=4)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        table = n * k * 8
+        assert peak <= 1.1 * table, f"{peak / table:.2f} tables"
+
+
 class TestBinaryNaiveBias:
     def test_worked_point(self):
         out = binary_naive_bias(0.9, 0.2)
