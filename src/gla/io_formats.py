@@ -7,7 +7,7 @@ JSON is strict: no NaN or Infinity.
 
 from __future__ import annotations
 
-import itertools
+import array
 import json
 import math
 import os
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
-from .evaluation import ESTIMATORS, EvalReport, StudyOptions
+from .evaluation import ESTIMATORS, ConvergenceStudy, EvalReport, StudyOptions
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int, check_type, row_blocks,
 )
@@ -53,8 +53,8 @@ def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[GlaError]) -> GlaE
 
 # ---------------------------------------------------------------------------
 # Logit CSV files: header "label,c0,...,c{K-1}", one row per example.
-# Both directions stream: memory is the table plus one block (K + 1 fields
-# per row), never a text copy of the whole file.
+# Both directions stream, never a text copy of the whole file: a save holds
+# the table plus one block, a load the table plus its label column.
 # ---------------------------------------------------------------------------
 
 # The writer's blocks are smaller than numerics.LOGIT_BLOCK_FIELDS: each
@@ -85,36 +85,31 @@ def save_logits(path: str, table: LogitTable, labels=None) -> None:
     atomic_write_text(path, _logit_blocks(table.scores, labs))
 
 
-def _checked_rows(fh, k: int):
-    """The data lines of an open logit CSV, each checked for K commas (a
-    blank line too: loadtxt alone would skip it)."""
+def _checked_rows(fh, k: int, labels: array.array):
+    """The score fields of each data line of an open logit CSV.  The one
+    place a line is split: it must hold K commas (a blank line too: loadtxt
+    alone would skip it), and its label, an integer or empty (NaN), goes to
+    `labels`.  loadtxt pulls the lines one at a time, so the first fault in
+    file order is the one raised."""
     lineno = 1
     for lineno, row in enumerate(fh, start=2):
         if row.count(",") != k:
             raise ParseError(f"expected {k + 1} fields, got {row.count(',') + 1}", line=lineno)
-        yield row
+        label, scores = row.split(",", 1)
+        try:
+            labels.append(int(label) if label else math.nan)
+        except (ValueError, OverflowError):  # OverflowError: past float range
+            raise ParseError(f"bad label {label!r}", line=lineno) from None
+        yield scores
     if lineno == 1:
         raise ParseError("no data rows", line=2)
-
-
-def _score_columns(data: np.ndarray) -> np.ndarray:
-    """The N x K score columns of loadtxt's N x (K+1) result, compacted in
-    place, a block of rows at a time, into a contiguous prefix of its own
-    buffer: the load holds one table plus one block, not two tables.  Row
-    i's scores move down to row i * K of the flat buffer, never past rows
-    still unread."""
-    n, k = data.shape[0], data.shape[1] - 1
-    flat = data.reshape(-1)
-    for rows in row_blocks(n, k + 1):
-        start, stop, _ = rows.indices(n)
-        flat[start * k:stop * k].reshape(stop - start, k)[...] = data[start:stop, 1:]
-    return flat[:n * k].reshape(n, k)
 
 
 def load_logits(path: str) -> LabelledLogits | LogitTable:
     """Parse a logit CSV.  A fully labelled file yields LabelledLogits; any
     empty-label row degrades the whole file to an unlabelled LogitTable
     (with a warning)."""
+    labels = array.array("d")
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline()
@@ -122,24 +117,16 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
             if k < 2 or header.rstrip("\n") != ",".join(["label"] + [f"c{i}" for i in range(k)]):
                 raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
             try:
-                # encoding=None: by default numpy < 2 hands converters bytes
-                data = np.loadtxt(_checked_rows(fh, k), delimiter=",", comments=None, ndmin=2,
-                                  encoding=None, converters={0: lambda s: float(int(s)) if s else np.nan})
+                scores = np.loadtxt(_checked_rows(fh, k, labels), delimiter=",", comments=None, ndmin=2)
             except UnicodeDecodeError:  # a ValueError too: a bad byte read mid-stream
                 raise
             except ValueError as exc:
-                where = re.search(r"at row (\d+), column (\d+)", str(exc))
+                where = re.search(r"at row (\d+)", str(exc))
                 if where is None:
                     raise ParseError(f"bad field: {exc}") from None
-                lineno = int(where[1]) + 2
-                if where[2] != "1":
-                    raise ParseError("bad numeric field", line=lineno) from None
-                fh.seek(0)  # only this error path reads the file again
-                row = next(itertools.islice(fh, lineno - 1, None))
-                raise ParseError(f"bad label {row.split(',', 1)[0]!r}", line=lineno) from None
+                raise ParseError("bad numeric field", line=int(where[1]) + 2) from None
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, ParseError) from None
-    labels, scores = data[:, 0].copy(), _score_columns(data)
     try:
         table = LogitTable(scores)
     except InvalidInput:
@@ -147,6 +134,7 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
         # only a rejected table pays for the search
         row = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
         raise ParseError("non-finite score", line=row + 2) from None
+    labels = np.frombuffer(labels)
     bad = np.flatnonzero((labels < 0) | (labels >= k))
     if bad.size:
         raise ParseError(f"label {int(labels[bad[0]])} out of range [0, {k})", line=int(bad[0]) + 2)
@@ -203,13 +191,6 @@ def _probability_vector(value, name: str, error: type[GlaError]) -> ProbabilityS
     return ProbabilitySimplex(probs / total if abs(total - 1.0) > SIMPLEX_ATOL else probs)
 
 
-def _string(payload: dict, key: str, default: str, error: type[GlaError]) -> str:
-    value = payload.get(key, default)
-    if not isinstance(value, str):
-        raise error(f"{key} must be a JSON string, got {value!r}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Prior documents: k, probs, estimator, source_split, seed, created_at
 # ---------------------------------------------------------------------------
@@ -219,11 +200,23 @@ _PRIOR_ESTIMATORS = {*ESTIMATORS, "given"}
 
 @dataclass(frozen=True)
 class PriorDocument:
+    """A prior and its provenance; each field is checked on construction,
+    so every document save_prior writes, load_prior reads back."""
+
     prior: ProbabilitySimplex
     estimator: str = "given"
     source_split: str = ""
     seed: int | None = None
     created_at: str = ""
+
+    def __post_init__(self):
+        check_type(self.prior, ProbabilitySimplex, "prior")
+        for name in ("estimator", "source_split", "created_at"):
+            check_type(getattr(self, name), str, name)
+        if self.estimator not in _PRIOR_ESTIMATORS:
+            raise InvalidInput(f"unknown estimator {self.estimator!r}")
+        if self.seed is not None:
+            object.__setattr__(self, "seed", as_int(self.seed, "seed"))
 
 
 def default_created_at() -> str:
@@ -244,8 +237,7 @@ def default_created_at() -> str:
 
 
 def save_prior(path: str, doc: PriorDocument) -> None:
-    if doc.estimator not in _PRIOR_ESTIMATORS:
-        raise InvalidInput(f"unknown estimator {doc.estimator!r}")
+    check_type(doc, PriorDocument, "doc")
     payload = {
         "k": doc.prior.k,
         "probs": [format_float(x) for x in doc.prior.probs],
@@ -262,22 +254,15 @@ def load_prior(path: str) -> PriorDocument:
     payload = _json_object(_load_json(path, ParseError), keys, ParseError)
     try:
         k = as_int(payload["k"], "k")
-        seed = None if payload.get("seed") is None else as_int(payload["seed"], "seed")
-        prior = _probability_vector(payload["probs"], "probs", ParseError)
+        doc = PriorDocument(
+            _probability_vector(payload["probs"], "probs", ParseError),
+            **{key: value for key, value in payload.items() if key not in ("k", "probs")},
+        )
     except (InvalidInput, KeyError) as exc:
         raise ParseError(f"bad prior document: {exc}") from None
-    if prior.k != k:
-        raise ParseError(f"probs length {prior.k} != k {k}")
-    estimator = _string(payload, "estimator", "given", ParseError)
-    if estimator not in _PRIOR_ESTIMATORS:
-        raise ParseError(f"unknown estimator {estimator!r}")
-    return PriorDocument(
-        prior=prior,
-        estimator=estimator,
-        source_split=_string(payload, "source_split", "", ParseError),
-        seed=seed,
-        created_at=_string(payload, "created_at", "", ParseError),
-    )
+    if doc.prior.k != k:
+        raise ParseError(f"probs length {doc.prior.k} != k {k}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +271,7 @@ def load_prior(path: str) -> PriorDocument:
 
 
 def save_report(path: str, report: EvalReport) -> None:
+    check_type(report, EvalReport, "report")
     payload = {
         "top1_accuracy": report.top1_accuracy,
         "balanced_accuracy": report.balanced_accuracy,
@@ -332,7 +318,8 @@ def load_run_config(path: str) -> RunConfig:
     return parse_run_config(_load_json(path, ConfigError))
 
 
-def save_study_csv(path: str, study) -> None:
+def save_study_csv(path: str, study: ConvergenceStudy) -> None:
+    check_type(study, ConvergenceStudy, "study")
     lines = ["n,mean_l1,std,bound"]
     for row in study.rows:
         lines.append(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,10 @@ from .errors import DimensionError, InvalidInput, MissingClassError
 
 LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
-# Row-wise kernels (the CSV codec, the row argmax, the estimators' softmax,
-# the sampler) work on blocks of about this many fields, so none holds a
-# second table-sized array.
+# Row-wise kernels (the row argmax, the estimators' softmax, the sampler)
+# work on blocks of about this many fields, so none holds a second
+# table-sized array.
 LOGIT_BLOCK_FIELDS = 2**16
-# numpy >= 1.25 moved it to numpy.exceptions; numpy 2 keeps it only there
-_ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
 
 
 def as_int(value, name: str, low: int | None = None) -> int:
@@ -57,11 +54,10 @@ def finite_vector(values, name: str, ndim: int = 1) -> np.ndarray:
     strings, dicts, ragged lists and complex numbers included, raises
     InvalidInput naming `name`."""
     try:
-        with warnings.catch_warnings():
-            # numpy casts complex to real with only a warning, dropping the imaginary part
-            warnings.simplefilter("error", _ComplexWarning)
-            arr = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError, _ComplexWarning):
+        arr = np.asarray(values)
+        # numpy casts complex to real with only a warning, dropping the imaginary part
+        arr = None if arr.dtype.kind == "c" else arr.astype(np.float64, copy=False)
+    except (TypeError, ValueError, OverflowError):
         arr = None
     # min and max propagate NaN and meet any inf, without an array-sized mask
     if arr is None or arr.ndim != ndim or arr.size < 1 or not (

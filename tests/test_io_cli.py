@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gla import prior_estimation
 from gla.cli import main
@@ -183,7 +185,8 @@ class TestLogitStreaming:
     @pytest.mark.parametrize("k", [2, 10, 1000])
     @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
     def test_bytes_at_block_edges(self, tmp_path, k, labelled):
-        # the edges of the reader's blocks and of the writer's smaller ones
+        # N at the edges of the writer's blocks and of the LOGIT_BLOCK_FIELDS
+        # blocks of the other row-wise kernels; the reader has no blocks
         steps = [max(1, fields // (k + 1)) for fields in (LOGIT_BLOCK_FIELDS, CSV_WRITE_BLOCK_FIELDS)]
         rng = np.random.default_rng(k)
         path = tmp_path / "t.csv"
@@ -221,7 +224,7 @@ class TestLogitStreaming:
         assert np.array_equal(loaded.logits.scores, table.scores)
 
     def test_load_holds_one_table(self, tmp_path):
-        # the score columns are compacted inside loadtxt's N x (K+1) result
+        # the labels are split off each line, so loadtxt returns the N x K table itself
         n, k = 20_000, 100
         table = LogitTable(np.random.default_rng(1).normal(size=(n, k)))
         path = str(tmp_path / "t.csv")
@@ -250,6 +253,22 @@ class TestLogitStreaming:
     ], ids=["blank", "ragged", "label", "numeric"])
     def test_deep_errors_name_their_line(self, tmp_path, lineno, line, what):
         path = deep_csv(tmp_path, lineno, line)
+        with pytest.raises(ParseError, match=f"^line {lineno}: {what}$"):
+            load_logits(path)
+
+    @pytest.mark.parametrize("first, second", [
+        (2, 3), (3, 2), (50_000, 50_001), (50_001, 50_000), (4, 99_999), (99_999, 4),
+    ])
+    @pytest.mark.parametrize("label_first", [True, False], ids=["label-first", "numeric-first"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, first, second, label_first):
+        """A bad label and a bad numeric field on lines `first` and `second`:
+        loadtxt must pull rows one at a time, so whichever comes first is named."""
+        rows = [b"0,1,2\n"] * 100_000
+        faults = [b"z,1,2\n", b"0,1,x\n"] if label_first else [b"0,1,x\n", b"z,1,2\n"]
+        rows[first - 2], rows[second - 2] = faults
+        path = write_bytes(tmp_path / "mixed.csv", b"label,c0,c1\n" + b"".join(rows))
+        lineno, fault = min((first, faults[0]), (second, faults[1]))
+        what = "bad label 'z'" if fault.startswith(b"z") else "bad numeric field"
         with pytest.raises(ParseError, match=f"^line {lineno}: {what}$"):
             load_logits(path)
 
@@ -335,6 +354,37 @@ class TestPriorFiles:
         )
         with pytest.raises(ParseError, match="extra"):
             load_prior(path)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"source_split": 3}, "source_split must be a str, got int"),
+        ({"created_at": None}, "created_at must be a str, got NoneType"),
+        ({"estimator": "x"}, "unknown estimator 'x'"),
+        ({"estimator": ["m1"]}, "estimator must be a str, got list"),
+    ], ids=["seed-float", "seed-bool", "split-int", "created-none", "estimator-unknown", "estimator-list"])
+    def test_document_checks_its_fields(self, fields, message):
+        """What save_prior would write and load_prior reject is never built."""
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            PriorDocument(**{"prior": ProbabilitySimplex([0.5, 0.5]), **fields})
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        estimator=st.sampled_from(["given", "m1", "m2", "naive"]),
+        split=st.text(),
+        seed=st.one_of(st.none(), st.integers(), st.integers(-2**63, 2**63 - 1).map(np.int64)),
+        created_at=st.text(),
+    )
+    def test_every_document_round_trips(self, tmp_path, estimator, split, seed, created_at):
+        """Each document PriorDocument accepts, an np.int64 seed included, loads back equal."""
+        path = str(tmp_path / "p.json")
+        doc = PriorDocument(ProbabilitySimplex([0.125, 0.375, 0.5]), estimator, split, seed, created_at)
+        assert doc.seed is None or type(doc.seed) is int
+        save_prior(path, doc)
+        loaded = load_prior(path)
+        assert np.array_equal(loaded.prior.probs, doc.prior.probs)
+        assert (loaded.estimator, loaded.source_split, loaded.seed) == (estimator, split, doc.seed)
+        assert loaded.created_at == (created_at or "2023-11-14T22:13:20Z")
 
 
 @pytest.mark.parametrize("kind, load, error", [

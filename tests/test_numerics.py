@@ -13,7 +13,7 @@ from gla.errors import DimensionError, InvalidInput
 from gla.evaluation import (
     balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, run_convergence_study, top1_error,
 )
-from gla.io_formats import save_logits
+from gla.io_formats import PriorDocument, save_logits, save_prior, save_report, save_study_csv
 from gla.prior_estimation import (
     TransitionMatrix,
     build_transition_matrix,
@@ -366,6 +366,12 @@ TYPED_ARGUMENTS = {
     "save_logits.table": (
         lambda v: save_logits("no-such-dir/t.csv", v), "table", "LogitTable", np.zeros((2, 2)),
     ),
+    "save_prior.doc": (
+        lambda v: save_prior("no-such-dir/p.json", v), "doc", "PriorDocument", {"prior": [0.5, 0.5]},
+    ),
+    "save_report.report": (lambda v: save_report("no-such-dir/r.json", v), "report", "EvalReport", None),
+    "save_study_csv.study": (lambda v: save_study_csv("no-such-dir/s.csv", v), "study", "ConvergenceStudy", []),
+    "PriorDocument.prior": (PriorDocument, "prior", "ProbabilitySimplex", np.array([0.5, 0.5])),
 }
 
 
