@@ -22,7 +22,7 @@ def _as_log_prior(vec, name: str) -> np.ndarray:
     return _freeze(arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjustmentSpec:
     """Log priors used for debiasing: source, pre-train, and optional target.
 

@@ -141,7 +141,7 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
     unlabelled = np.isnan(labels)
     if unlabelled.any():
         if not unlabelled.all():
-            warnings.warn(f"{path}: some rows are unlabelled; discarding all labels")
+            warnings.warn(f"{path}: some rows are unlabelled; discarding all labels", stacklevel=2)
         return table
     return LabelledLogits(table, labels.astype(np.int64))
 

@@ -17,8 +17,8 @@ from .errors import DimensionError, InvalidInput, MissingClassError
 
 LOG_FLOOR = 1e-12
 SIMPLEX_ATOL = 1e-9
-# Row-wise kernels (the row argmax, the estimators' softmax, the sampler)
-# work on blocks of about this many fields, so none holds a second
+# Row-wise kernels (the row argmax, the naive estimator's softmax) work on
+# blocks of rows of about this many fields, so neither holds a second
 # table-sized array.
 LOGIT_BLOCK_FIELDS = 2**16
 
@@ -92,7 +92,7 @@ def class_counts(labels: np.ndarray, k: int) -> np.ndarray:
     return counts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilitySimplex:
     """Length-K vector of nonnegative reals summing to 1."""
 
@@ -126,7 +126,7 @@ class ProbabilitySimplex:
         return cls(arr / total)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogitTable:
     """N x K matrix of real-valued scores, one row per example.  Unlike the
     other values it adopts a C-contiguous float64 array, and makes it read-only:
@@ -150,7 +150,7 @@ class LogitTable:
         return self.scores.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabelledLogits:
     """A LogitTable paired with integer labels in [0, K)."""
 
@@ -207,19 +207,6 @@ def row_blocks(n: int, k: int, fields: int = LOGIT_BLOCK_FIELDS):
     the N rows of an N x K array in order."""
     step = max(1, fields // k)
     return (slice(start, start + step) for start in range(0, n, step))
-
-
-def class_runs(bounds: np.ndarray, width: int):
-    """(first, last) for consecutive runs of whole classes, given the block
-    bounds of class_blocks: each run's rows, `width` fields each, fill at
-    most LOGIT_BLOCK_FIELDS fields, or hold one class that alone fills more."""
-    first, k = 0, bounds.size - 1
-    while first < k:
-        last = first + 1
-        while last < k and (bounds[last + 1] - bounds[first]) * width <= LOGIT_BLOCK_FIELDS:
-            last += 1
-        yield first, last
-        first = last
 
 
 def softmax_row(v) -> ProbabilitySimplex:

@@ -26,10 +26,10 @@ import numpy as np
 from .errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, OptimizationError
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, as_int, as_real, check_type,
-    class_blocks, class_counts, class_runs, finite_vector, row_blocks, softmax_matrix, softmax_row,
+    class_blocks, class_counts, finite_vector, row_blocks, softmax_matrix, softmax_row,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """K x K column-stochastic matrix of class-averaged predicted probabilities.
 
@@ -56,22 +56,19 @@ class TransitionMatrix:
 def build_transition_matrix(data: LabelledLogits) -> TransitionMatrix:
     """Average the softmax predictions per labelled class into matrix columns.
 
-    The softmax is taken over a run of whole classes at a time, as many as
-    fit in LOGIT_BLOCK_FIELDS fields (at least one), so the fit holds one
-    run, not a softmax of the whole table.  Softmax is row-wise and each
-    column mean adds the same rows in the same order, so the bits are those
-    of one whole-table softmax.
+    Column j is the mean softmax of class j's block of rows, taken one class
+    at a time, so the fit holds one class block, not a softmax of the whole
+    table.  Softmax is row-wise and each column mean adds the same rows in
+    the same order, so the bits are those of one whole-table softmax.
     """
     k = check_type(data, LabelledLogits, "data").n_classes
     class_counts(data.labels, k)
     order, bounds = class_blocks(data.labels, k)
     scores = data.logits.scores
     cols = np.empty((k, k))
-    for first, last in class_runs(bounds, k):
-        lo, hi = bounds[first], bounds[last]
-        probs = softmax_matrix(scores[lo:hi] if order is None else scores[order[lo:hi]])
-        for j in range(first, last):
-            cols[:, j] = probs[bounds[j] - lo:bounds[j + 1] - lo].mean(axis=0)
+    for j in range(k):
+        rows = slice(bounds[j], bounds[j + 1]) if order is None else order[bounds[j]:bounds[j + 1]]
+        cols[:, j] = softmax_matrix(scores[rows]).mean(axis=0)
     return TransitionMatrix(cols)
 
 

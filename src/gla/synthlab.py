@@ -26,7 +26,7 @@ import numpy as np
 from .errors import InvalidInput
 from .numerics import (
     LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, argmax_rows, as_int, as_real, check_type, class_blocks,
-    class_runs, log_prior,
+    log_prior,
 )
 
 _LABEL_STREAM = 0
@@ -54,14 +54,14 @@ class SyntheticTaskConfig:
                 raise InvalidInput(f"{name} must have length k")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticTask:
     cfg: SyntheticTaskConfig
     means_view1: np.ndarray
     means_view2: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticBatch:
     zs_logits: LogitTable
     ft_logits: LogitTable
@@ -133,50 +133,49 @@ def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.n
     return _log_likelihoods_into(x, means, half_sq_means, np.empty((x.shape[0], means.shape[0])))
 
 
-def _sample_view(
-    task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex,
-    into: np.ndarray | None = None,
-) -> np.ndarray:
-    """Draw one view's features on its per-class seed streams and score them:
-    the view's class log-likelihoods plus log `prior`, as a new writable N×K
-    array, or added in place into the N×K array `into`, which is returned.
-
-    A run of whole classes at a time (one class block, or as many as fit in
-    LOGIT_BLOCK_FIELDS fields): their features are drawn, then scored in
-    place straight into the output rows when the labels are class-major
-    (as in shots) and nothing is added into, or into a buffer that is
-    scattered into (or added onto) the classes' rows otherwise.  So the draw
-    holds the output table and one run, never an N×D feature array or an
-    N×K temporary.  A row's bits do not depend on the rest of the batch, so
-    they are those of one whole-batch scoring.
+def _class_scorer(task: SyntheticTask, seed: int, view: int, prior: ProbabilitySimplex):
+    """The draw-and-score step of one view: `score(c, out)` draws one feature
+    of class c per row of the n×K array `out`, on the class's own seed
+    stream, and writes their scores into `out` in place, the view's class
+    log-likelihoods plus log `prior`.  A row's bits do not depend on the
+    other rows scored with it, so they are those of one whole-batch scoring.
     """
-    cfg = task.cfg
     means, half_sq_means = _means(task, view)
     shift = log_prior(prior)
-    scores = np.empty((labels.size, cfg.k)) if into is None else into
-    order, bounds = class_blocks(labels, cfg.k)
-    runs = list(class_runs(bounds, cfg.k))
-    largest = max(bounds[last] - bounds[first] for first, last in runs)
-    x_buf = np.empty((largest, cfg.dim))
-    direct = order is None and into is None
-    block_buf = None if direct else np.empty((largest, cfg.k))
-    for first, last in runs:
-        lo, hi = bounds[first], bounds[last]
-        x = x_buf[:hi - lo]
-        for c in range(first, last):
-            if bounds[c] < bounds[c + 1]:
-                rng_c = np.random.default_rng(np.random.SeedSequence([seed, _VIEW_STREAMS[view - 1], c]))
-                x_c = rng_c.standard_normal(out=x[bounds[c] - lo:bounds[c + 1] - lo])
-                x_c += means[c]
-        block = scores[lo:hi] if direct else block_buf[:hi - lo]
-        _log_likelihoods_into(x, means, half_sq_means, block)
-        block += shift
-        if not direct:
-            rows = slice(lo, hi) if order is None else order[lo:hi]
-            if into is None:
-                scores[rows] = block
-            else:
-                scores[rows] += block
+    stream = _VIEW_STREAMS[view - 1]
+
+    def score(c: int, out: np.ndarray) -> np.ndarray:
+        rng_c = np.random.default_rng(np.random.SeedSequence([seed, stream, c]))
+        x = rng_c.standard_normal((out.shape[0], task.cfg.dim))
+        x += means[c]
+        _log_likelihoods_into(x, means, half_sq_means, out)
+        out += shift
+        return out
+
+    return score
+
+
+def _sample_view(
+    task: SyntheticTask, labels: np.ndarray, seed: int, view: int, prior: ProbabilitySimplex
+) -> np.ndarray:
+    """One view's scores of `labels`, as a new writable N×K array.
+
+    One class at a time: its features are drawn and scored in place
+    straight into its output rows when the labels are class-major (as in
+    shots), or into a one-class buffer that is copied into its rows
+    otherwise.  So the draw holds the output table and one class block,
+    never an N×D feature array or an N×K temporary.
+    """
+    k = task.cfg.k
+    score = _class_scorer(task, seed, view, prior)
+    scores = np.empty((labels.size, k))
+    order, bounds = class_blocks(labels, k)
+    for c in np.flatnonzero(np.diff(bounds)).tolist():
+        lo, hi = bounds[c], bounds[c + 1]
+        if order is None:
+            score(c, scores[lo:hi])
+        else:
+            scores[order[lo:hi]] = score(c, np.empty((hi - lo, k)))
     return scores
 
 
@@ -226,15 +225,23 @@ def _monte_carlo_risk(
     """Monte-Carlo risk of the exact Bayes classifier that sees `views`: the
     views are independent given the label, so it scores the sum of their
     log-posteriors under eval_prior less all but one copy of the log prior.
-    The views are added into the first view's table in place, so the draw
-    holds one N×K table."""
+    The error count does not depend on row order, so each class's draws,
+    as many as its label count, are scored one view block at a time and
+    their errors counted: the risk holds a few class blocks, not an N×K
+    table."""
     check_type(eval_prior, ProbabilitySimplex, "eval_prior")
-    labels = _sample_labels(task, eval_prior, as_int(n_mc, "n_mc", 1), seed)
-    scores = _sample_view(task, labels, seed, views[0], eval_prior)
-    for view in views[1:]:
-        _sample_view(task, labels, seed, view, eval_prior, into=scores)
-    scores -= (len(views) - 1) * log_prior(eval_prior)
-    return float(np.mean(argmax_rows(scores) != labels))
+    n_mc = as_int(n_mc, "n_mc", 1)
+    counts = np.bincount(_sample_labels(task, eval_prior, n_mc, seed), minlength=task.cfg.k)
+    scorers = [_class_scorer(task, seed, view, eval_prior) for view in views]
+    excess_shift = (len(views) - 1) * log_prior(eval_prior)
+    errors = 0
+    for c in np.flatnonzero(counts).tolist():
+        block = scorers[0](c, np.empty((counts[c], task.cfg.k)))
+        for score in scorers[1:]:
+            block += score(c, np.empty_like(block))
+        block -= excess_shift
+        errors += np.count_nonzero(argmax_rows(block) != c)
+    return float(errors / n_mc)
 
 
 def bayes_risk(

@@ -76,6 +76,13 @@ class TestLogitFiles:
             loaded = load_logits(p)
         assert isinstance(loaded, LogitTable)
 
+    def test_partial_label_warning_names_the_caller(self, tmp_path):
+        # the warning points at the line that loaded the file, not into gla
+        p = write(tmp_path / "t.csv", "label,c0,c1\n0,1,2\n,3,4\n")
+        with pytest.warns(UserWarning, match="some rows are unlabelled") as record:
+            load_logits(p)
+        assert [w.filename for w in record] == [__file__]
+
     def test_fully_unlabelled_no_warning(self, tmp_path):
         p = write(tmp_path / "t.csv", "label,c0,c1\n,1,2\n,3,4\n")
         loaded = load_logits(p)

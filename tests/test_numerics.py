@@ -405,6 +405,30 @@ class TestOwnership:
         assert LogitTable(scores).scores is scores and not scores.flags.writeable
 
 
+# values that hold arrays, and configs and documents that hold such values
+VALUES = {
+    "ProbabilitySimplex": lambda: ProbabilitySimplex.uniform(2),
+    "LogitTable": _table,
+    "LabelledLogits": _labelled,
+    "TransitionMatrix": lambda: TransitionMatrix(np.eye(2)),
+    "AdjustmentSpec": _adj2,
+    "SyntheticTaskConfig": lambda: SyntheticTaskConfig(k=2),
+    "SyntheticTask": lambda: make_task(SyntheticTaskConfig(k=2)),
+    "SyntheticBatch": lambda: sample_shots(make_task(SyntheticTaskConfig(k=2)), 2, 0),
+    "EvalReport": lambda: breakdown_report(_table(), [0, 1], ProbabilitySimplex.uniform(2).probs),
+    "PriorDocument": lambda: PriorDocument(ProbabilitySimplex.uniform(2)),
+}
+
+
+class TestValueIdentity:
+    @pytest.mark.parametrize("make", VALUES.values(), ids=VALUES.keys())
+    def test_compare_and_hash_by_identity(self, make):
+        """== and hash never compare array fields: a value equals only itself, and a set holds it."""
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2
+
+
 class TestArgmaxRows:
     """Blocked row argmax against np.argmax of a writable copy of the whole table."""
 

@@ -417,7 +417,7 @@ class TestEstimatorMemory:
         assert traced_peak(estimate_prior_m1, data) <= 3.5 * data.logits.scores.nbytes
 
     def test_m2_holds_a_fraction_of_a_table(self, data):
-        # one run of whole classes at a time, never a softmax of the whole table
+        # one class block at a time, never a softmax of the whole table
         assert traced_peak(estimate_prior_m2, data) <= 0.25 * data.logits.scores.nbytes
 
     def test_naive_holds_a_fraction_of_a_table(self, data):
@@ -453,8 +453,8 @@ class TestBlockIdentity:
         mean = unblocked_softmax(scores).mean(axis=0)
         assert np.array_equal(estimate_prior_naive(LogitTable(scores)).probs, mean / mean.sum())
 
-    # shots per class: many classes to a block, classes that fill a block
-    # exactly (K=2) or nearly, and classes larger than a block on their own
+    # shots per class: small classes, and classes at and just past the
+    # row-block size of the other row-wise kernels (LOGIT_BLOCK_FIELDS / K)
     @pytest.mark.parametrize(
         "k, shots",
         [(2, 3), (2, LOGIT_BLOCK_FIELDS // 2), (2, LOGIT_BLOCK_FIELDS // 2 + 1),
