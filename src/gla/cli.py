@@ -130,6 +130,8 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if os.path.realpath(args.out_zs) == os.path.realpath(args.out_ft):
+        raise ConfigError(f"--out-zs and --out-ft name the same file {args.out_ft!r}")
     cfg = load_run_config(args.config)
     if cfg.task is None:
         raise ConfigError("simulate requires a 'task' section in the config")

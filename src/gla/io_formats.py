@@ -19,32 +19,32 @@ import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
 from .evaluation import ESTIMATORS, ConvergenceStudy, EvalReport, StudyOptions
+from .float_text import format_fields, format_float
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int, check_type, row_blocks,
 )
 from .synthlab import SyntheticTaskConfig
 
-_FLOAT_FMT = "%.17g"
-
-
-def format_float(x: float) -> str:
-    return _FLOAT_FMT % float(x)
-
-
 def atomic_write_text(path: str, text) -> None:
     """Write `text`, a string or an iterable of strings, through a temporary
     file and a rename.  The file is created with mode 0o666 less the umask,
-    as open() would create it; a failed write leaves no file behind."""
+    as open() would create it; a failed write leaves no file behind, and an
+    OSError on the temporary file names `path` instead."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gla-tmp-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.writelines([text] if isinstance(text, str) else text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        if exc.filename != tmp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, path) from None
 
 
 def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[GlaError]) -> GlaError:
@@ -57,26 +57,43 @@ def _not_utf8(path: str, exc: UnicodeDecodeError, error: type[GlaError]) -> GlaE
 # the table plus one block, a load the table plus its label column.
 # ---------------------------------------------------------------------------
 
-# The writer's blocks are smaller than numerics.LOGIT_BLOCK_FIELDS: each
-# block's temporaries (its text, the list and tuple of its numbers, the
-# stacked label column) then stay under glibc's default 128 KiB mmap
-# threshold and reuse heap pages.  Blocks of LOGIT_BLOCK_FIELDS are mapped,
-# zero-filled and unmapped one by one unless something freed earlier has
-# raised that threshold: `gla simulate` of 100k rows at K=10 then takes 37k
-# page faults, against 8.5k with these blocks.
-CSV_WRITE_BLOCK_FIELDS = 2**12
+# The writer formats blocks of about this many fields at once with
+# float_text.format_fields.  A block's temporaries (eight float64 arrays of
+# its size, its 32-byte fields and its text) then fit in heap pages that
+# earlier work left free: `gla simulate` of 100k rows at K=10 takes 14 more
+# minor page faults (of 14.3k) than with one `%` format per block of 2**12
+# fields, all of them in importing float_text.  Blocks of 2**12 fields
+# write about a fifth faster but take 110 more faults; blocks of
+# numerics.LOGIT_BLOCK_FIELDS, whose temporaries pass glibc's 128 KiB mmap
+# threshold, take 5.5k more.
+CSV_WRITE_BLOCK_FIELDS = 2**11
 
 
 def _logit_blocks(scores: np.ndarray, labels: np.ndarray | None):
     n, k = scores.shape
-    # labels ride in the float block: "%d" % 3.0 == "3"
-    row_fmt = ("," if labels is None else "%d,") + ",".join([_FLOAT_FMT] * k) + "\n"
     yield "label," + ",".join(f"c{i}" for i in range(k)) + "\n"
+    step = max(1, CSV_WRITE_BLOCK_FIELDS // (k + 1))
+    # one block's numbers, the label first (0 when unlabelled, then blanked),
+    # and their 32-byte fields, each ending in its delimiter; a bytearray
+    # under the fields lets translate() drop the NUL padding without a copy
+    values = np.zeros((step, k + 1))
+    buffer = bytearray(values.size * 32)
+    fields = np.frombuffer(buffer, np.uint64).reshape(step, k + 1, 4)
+    delimiters = np.full(k + 1, ord(",") << 56, np.uint64)
+    delimiters[-1] = ord("\n") << 56
     for rows in row_blocks(n, k + 1, CSV_WRITE_BLOCK_FIELDS):
-        block = scores[rows]
+        part = scores[rows]
+        block = values[: len(part)]
+        block[:, 1:] = part
         if labels is not None:
-            block = np.column_stack((labels[rows], block))
-        yield (row_fmt * block.shape[0]) % tuple(block.ravel().tolist())
+            block[:, 0] = labels[rows]
+        text = fields[: len(block)]
+        format_fields(block.reshape(-1), text.reshape(-1, 4))
+        if labels is None:
+            text[:, 0] = 0
+        text[:, :, 3] |= delimiters
+        data = buffer if text.nbytes == len(buffer) else buffer[: text.nbytes]
+        yield data.translate(None, b"\0").decode("ascii")
 
 
 def save_logits(path: str, table: LogitTable, labels=None) -> None:

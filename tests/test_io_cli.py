@@ -4,17 +4,20 @@ import os
 import re
 import stat
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gla import prior_estimation
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
+from gla.float_text import format_fields
 from gla.io_formats import (
     CSV_WRITE_BLOCK_FIELDS,
     PriorDocument,
@@ -181,6 +184,29 @@ def row_by_row_csv(scores, labels):
     return ("\n".join(lines) + "\n").encode()
 
 
+def _targeted_floats():
+    """±0, the subnormals' ends, the largest float, powers of ten and their
+    neighbours 1 ulp either side, and exact 18-digit ties."""
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    values = np.concatenate([
+        [0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, np.finfo(np.float64).max,
+         1e15 + 0.25, 1e15 + 0.75, 1e16 + 2, 2.0**53 + 2, 0.5, 0.125],
+        powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf),
+    ])
+    return np.concatenate([values, -values])
+
+
+TARGETED = _targeted_floats()
+
+
+def kernel_text(values):
+    """format_fields' text of `values`, one per line."""
+    fields = np.empty((values.size, 4), np.uint64)
+    format_fields(values, fields)
+    fields[:, 3] |= np.uint64(ord("\n") << 56)
+    return fields.tobytes().translate(None, b"\0")
+
+
 def deep_csv(tmp_path, lineno, line, n=100_000):
     """A 100k-row K=2 logit CSV whose line `lineno` is replaced by `line`."""
     rows = [b"0,1,2\n"] * n
@@ -209,6 +235,44 @@ class TestLogitStreaming:
             assert np.array_equal(np.signbit(table.scores), np.signbit(scores))
             if labelled:
                 assert np.array_equal(loaded.labels, labels)
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        k=st.sampled_from([2, 10, 1000]),
+        labelled=st.booleans(),
+        data=st.data(),
+    )
+    def test_bytes_of_any_floats(self, tmp_path, k, labelled, data):
+        # random bit patterns over the whole exponent range, mixed with the
+        # targeted values; the rare non-finite pattern becomes a targeted one
+        n = data.draw(st.integers(1, 3 if k == 1000 else 40), label="n")
+        bits = data.draw(arrays(np.uint64, (n, k), elements=st.one_of(
+            st.integers(0, 2**64 - 1), st.sampled_from(TARGETED.view(np.uint64).tolist()))), label="bits")
+        scores = bits.view(np.float64)
+        scores[~np.isfinite(scores)] = TARGETED[: (~np.isfinite(scores)).sum()]
+        labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)), label="labels") if labelled else None
+        path = tmp_path / "t.csv"
+        save_logits(str(path), LogitTable(scores), labels)
+        assert path.read_bytes() == row_by_row_csv(scores, labels)
+
+    def test_kernel_matches_percent_format(self):
+        # 1.2M values: random bit patterns, magnitudes spread evenly in log
+        # space across the fixed-notation range and past both ends, integers,
+        # exact 18-digit ties, and the targeted values; no floating-point
+        # warning or error may occur
+        rng = np.random.default_rng(20)
+        bits = rng.integers(0, 2**64, 400_000, dtype=np.uint64, endpoint=False).view(np.float64)
+        values = np.concatenate([
+            bits[np.isfinite(bits)],
+            rng.choice([-1.0, 1.0], 400_000) * 10.0 ** rng.uniform(-6, 19, 400_000),
+            rng.integers(-10**6, 10**6, 200_000).astype(np.float64),
+            1e15 + rng.integers(0, 10**14, 200_000) + rng.choice([0.25, 0.5, 0.75], 200_000),
+            TARGETED,
+        ])
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = kernel_text(values)
+        assert text == "".join("%.17g\n" % x for x in values.tolist()).encode()
 
     def test_memory_is_table_plus_one_block(self, tmp_path):
         # a whole-file text copy of this 16 MB table is about 38 MB
@@ -849,6 +913,23 @@ class TestOutputModes:
         for path in tmp_path.iterdir():
             assert stat.S_IMODE(path.stat().st_mode) == mode, path.name
 
+    @pytest.mark.parametrize("target, errno_text", [
+        ("missing/p.json", "[Errno 2] No such file or directory"),
+        ("dir", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "is-dir"])
+    def test_failed_write_names_the_target(self, tmp_path, capsys, target, errno_text):
+        # not the temporary file, whose name changes from run to run
+        logits = make_fixture_csv(tmp_path, "l.csv", [[5.0, 0.0], [0.0, 5.0]], [0, 1])
+        (tmp_path / "dir").mkdir()
+        out = str(tmp_path / target)
+        errors = []
+        for _ in range(2):
+            assert main(["estimate", "--logits", logits, "--method", "m2", "--out", out]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors == [f"error: {errno_text}: {out!r}\n"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "l.csv"]
+
+
 class TestCliStudyAndSimulate:
     def _config(self, tmp_path, **study):
         payload = {
@@ -927,6 +1008,17 @@ class TestCliStudyAndSimulate:
         zs, ft = str(tmp_path / "zs.csv"), str(tmp_path / "ft.csv")
         assert main(["simulate", "--config", cfg, "--out-zs", zs, "--out-ft", ft, "--n", "4"]) == 2
         assert f"{cfg} is not UTF-8 text" in capsys.readouterr().err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("ft", ["a.csv", "./a.csv", "sub/../a.csv", "abs"])
+    def test_simulate_one_file_for_both_outputs_exit_2(self, tmp_path, capsys, monkeypatch, ft):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        cfg = self._config(tmp_path)
+        ft = str(tmp_path / "a.csv") if ft == "abs" else ft
+        assert main(["simulate", "--config", cfg, "--out-zs", "a.csv", "--out-ft", ft, "--n", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "--out-zs" in err and "--out-ft" in err and ft in err
         assert not any(tmp_path.glob("*.csv"))
 
     def test_simulate_round_trip(self, tmp_path):
