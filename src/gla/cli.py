@@ -124,8 +124,8 @@ def _cmd_study(args) -> int:
     )
     save_study_csv(args.out, study)
     for row in study.rows:
-        stats = f"mean_l1={row.mean_l1:.5f} std={row.std:.5f} bound={row.bound:.5f}"
-        print(f"N={row.n}: {stats} ok={row.n_ok}/{study.trials}")
+        stats = f"mean_l1={row.mean_l1:.5f} std={row.std:.5f}"
+        print(f"{row.estimator} N={row.n}: {stats} ok={row.n_ok}/{study.trials}")
     return EXIT_OK
 
 
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="run an estimation-convergence study")
     p.add_argument("--config", required=True)
-    p.add_argument("--estimator", required=True, choices=ESTIMATORS)
+    p.add_argument("--estimator", required=True, nargs="+", choices=ESTIMATORS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_study)
 

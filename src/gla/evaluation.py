@@ -13,16 +13,10 @@ from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
 from .numerics import (
     LabelledLogits, LogitTable, argmax_rows, as_int, check_type, class_counts, finite_vector, l1_distance,
 )
-from .prior_estimation import (
-    estimate_prior_m1,
-    estimate_prior_m2,
-    estimate_prior_naive,
-    m2_error_bound,
-)
+from .prior_estimation import estimate_prior_m1, estimate_prior_m2, estimate_prior_naive
 from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
 ESTIMATORS = ("m1", "m2", "naive")  # the one list of prior estimator names
-STUDY_DELTA = 0.05  # the study reports the M2 bound at confidence 1 - STUDY_DELTA
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,10 +50,10 @@ class StudyOptions:
 
 @dataclass(frozen=True)
 class StudyRow:
+    estimator: str
     n: int
     mean_l1: float
     std: float
-    bound: float
     n_ok: int
 
 
@@ -143,54 +137,61 @@ def _estimate(estimator: str, data: LabelledLogits):
 
 def run_convergence_study(
     task_cfg: SyntheticTaskConfig,
-    estimator: str,
+    estimators,
     shots,
     trials: int,
     base_seed: int = 0,
 ) -> ConvergenceStudy:
-    """Measure l1 estimation error against the true pre-training prior as a
-    function of the per-class shot count, alongside the theoretical bound
-    at confidence 1 - STUDY_DELTA.
+    """Measure each named estimator's l1 error against the true pre-training
+    prior as a function of the per-class shot count.
 
-    Each trial draws only the zero-shot view, the one view estimators read,
-    of the balanced batch with seed base_seed + trial, once, at the largest
-    shot count.  Every smaller count N takes the first N rows of each class
-    block of that draw, which is zero_shot_shots(task, N, seed) bit for bit.
+    `estimators` is one name from ESTIMATORS or a sequence of distinct
+    names.  Each trial draws only the zero-shot view, the one view
+    estimators read, of the balanced batch with seed base_seed + trial,
+    once, at the largest shot count, and every estimator reads the same
+    draws.  Every smaller count N takes the first N rows of each class
+    block of that draw, which is zero_shot_shots(task, N, seed) bit for
+    bit.  Rows are grouped by estimator in the order given, N ascending.
     Estimator failures (a GlaError, or Method 1's ConvergenceWarning) are
     recorded as missing trials, and any other exception propagates.
     """
     check_type(task_cfg, SyntheticTaskConfig, "task_cfg")
     opts = StudyOptions(shots, trials, base_seed)
-    if estimator not in ESTIMATORS:
-        raise InvalidInput(f"unknown estimator {estimator!r}")
+    names = [estimators] if isinstance(estimators, str) else list(estimators if np.iterable(estimators) else ())
+    if not names:
+        raise InvalidInput(f"estimators must name one or more of {ESTIMATORS}, got {estimators!r}")
+    for i, name in enumerate(names):
+        if not isinstance(name, str) or name not in ESTIMATORS:
+            raise InvalidInput(f"estimators[{i}] must be one of {ESTIMATORS}, got {name!r}")
+        if name in names[:i]:
+            raise InvalidInput(f"estimators[{i}] repeats {name!r}")
     task = make_task(task_cfg)
     truth = task_cfg.pretrain_prior
     k, n_max = task_cfg.k, opts.shots[-1]
-    errors = [[] for _ in opts.shots]
+    errors = {name: [[] for _ in opts.shots] for name in names}
     for trial in range(opts.trials):
         full = zero_shot_shots(task, n_max, seed=opts.base_seed + trial)
         blocks = full.logits.scores.reshape(k, n_max, k)
-        for n, cell_errors in zip(opts.shots, errors):
+        for i, n in enumerate(opts.shots):
             labels = np.repeat(np.arange(k, dtype=np.int64), n)
             data = LabelledLogits(LogitTable(blocks[:, :n].reshape(k * n, k)), labels)
-            try:
-                est = _estimate(estimator, data)
-            except (GlaError, ConvergenceWarning):
-                continue
-            cell_errors.append(l1_distance(est, truth))
+            for name in names:
+                try:
+                    est = _estimate(name, data)
+                except (GlaError, ConvergenceWarning):
+                    continue
+                errors[name][i].append(l1_distance(est, truth))
     rows = []
-    for n, cell_errors in zip(opts.shots, errors):
-        bound = m2_error_bound(k, n, STUDY_DELTA)
-        if cell_errors:
-            arr = np.asarray(cell_errors)
-            rows.append(StudyRow(n, float(arr.mean()), float(arr.std()), bound, len(cell_errors)))
-        else:
-            rows.append(StudyRow(n, float("nan"), float("nan"), bound, 0))
+    for name, cells in errors.items():
+        for n, cell in zip(opts.shots, cells):
+            arr = np.asarray(cell)
+            stats = (float(arr.mean()), float(arr.std())) if cell else (float("nan"), float("nan"))
+            rows.append(StudyRow(name, n, *stats, len(cell)))
     return ConvergenceStudy(
         shots=opts.shots,
         trials=opts.trials,
         rows=rows,
-        metadata={"estimator": estimator, "aggregate": "mean", "base_seed": opts.base_seed},
+        metadata={"estimators": names, "base_seed": opts.base_seed},
     )
 
 

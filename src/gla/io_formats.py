@@ -337,9 +337,7 @@ def load_run_config(path: str) -> RunConfig:
 
 def save_study_csv(path: str, study: ConvergenceStudy) -> None:
     check_type(study, ConvergenceStudy, "study")
-    lines = ["n,mean_l1,std,bound"]
+    lines = ["estimator,n,mean_l1,std,n_ok"]
     for row in study.rows:
-        lines.append(
-            f"{row.n},{format_float(row.mean_l1)},{format_float(row.std)},{format_float(row.bound)}"
-        )
+        lines.append(f"{row.estimator},{row.n},{format_float(row.mean_l1)},{format_float(row.std)},{row.n_ok}")
     atomic_write_text(path, "\n".join(lines) + "\n")

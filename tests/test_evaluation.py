@@ -17,7 +17,6 @@ from gla.evaluation import (
     top1_error,
 )
 from gla.numerics import LogitTable, ProbabilitySimplex, l1_distance
-from gla.prior_estimation import m2_error_bound
 from gla.synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
 
@@ -196,15 +195,15 @@ class TestConvergenceStudy:
         )
         a = run_convergence_study(cfg, "m2", [25, 100], trials=3, base_seed=7)
         b = run_convergence_study(cfg, "m2", [25, 100], trials=3, base_seed=7)
-        assert [(r.n, r.mean_l1, r.std, r.bound) for r in a.rows] == [
-            (r.n, r.mean_l1, r.std, r.bound) for r in b.rows
+        assert [(r.estimator, r.n, r.mean_l1, r.std, r.n_ok) for r in a.rows] == [
+            (r.estimator, r.n, r.mean_l1, r.std, r.n_ok) for r in b.rows
         ]
 
-    def test_rows_sorted_and_bound_attached(self):
+    def test_rows_grouped_by_estimator_and_sorted(self):
         cfg = SyntheticTaskConfig(k=2, seed=3)
-        study = run_convergence_study(cfg, "naive", [100, 25], trials=2)
-        assert [r.n for r in study.rows] == [25, 100]
-        assert all(r.bound > 0 for r in study.rows)
+        study = run_convergence_study(cfg, ("naive", "m2"), [100, 25], trials=2)
+        assert [(r.estimator, r.n) for r in study.rows] == [("naive", 25), ("naive", 100), ("m2", 25), ("m2", 100)]
+        assert study.metadata == {"estimators": ["naive", "m2"], "base_seed": 0}
 
     def test_naive_plateaus_above_closed_form_bound(self):
         cfg = SyntheticTaskConfig(
@@ -229,40 +228,46 @@ class TestConvergenceStudy:
         study = run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
         assert study.rows[0].n_ok == 2
 
-    @pytest.mark.parametrize("estimator, fail_first", [("m1", False), ("m2", False), ("naive", False),
-                                                        ("m2", True), ("m1", True)])
-    def test_rows_equal_per_cell_reference(self, monkeypatch, estimator, fail_first):
-        """One draw per trial gives the rows of a fresh draw per cell, exactly;
-        a GlaError on the first estimator call drops that one trial."""
+    NAMES = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}
+
+    @pytest.mark.parametrize("fail_first", [None, "m1", "m2", "naive"])
+    def test_rows_equal_per_cell_reference(self, monkeypatch, fail_first):
+        """One draw per trial, read by all three estimators, gives each
+        estimator the rows of a fresh draw per cell, exactly; a GlaError on
+        one estimator's first call drops that estimator's trial alone."""
         k, shots, trials, base_seed = 5, [30, 4, 12, 30], 3, 21
         cfg = SyntheticTaskConfig(k=k, dim=3, mean_separation=2.5, seed=8,
                                   pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
-        name = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}[estimator]
-        original = getattr(gla.evaluation, name)
+        originals = {name: getattr(gla.evaluation, fn) for name, fn in self.NAMES.items()}
         calls = []
 
-        def flaky(*args, **kwargs):
-            calls.append(args[0])
-            if fail_first and len(calls) == 1:
-                raise OptimizationError("injected")
-            return original(*args, **kwargs)
+        def flaky(name):
+            def call(*args, **kwargs):
+                calls.append((name, args[0]))
+                if name == fail_first and sum(c[0] == name for c in calls) == 1:
+                    raise OptimizationError("injected")
+                return originals[name](*args, **kwargs)
+            return call
 
-        monkeypatch.setattr(gla.evaluation, name, flaky)
-        study = run_convergence_study(cfg, estimator, shots, trials, base_seed=base_seed)
-        # the first call is the first trial at the smallest count, as with a draw per cell
-        assert calls[0].n_examples == k * 4
+        for name, fn in self.NAMES.items():
+            monkeypatch.setattr(gla.evaluation, fn, flaky(name))
+        study = run_convergence_study(cfg, ("m1", "m2", "naive"), shots, trials, base_seed=base_seed)
+        # each estimator's first call is the first trial at the smallest count, as with a draw per cell
+        assert [(name, data.n_examples) for name, data in calls[:3]] == [("m1", k * 4), ("m2", k * 4), ("naive", k * 4)]
         task = make_task(cfg)
-        for row, n in zip(study.rows, sorted(shots)):
-            errors = []
-            for trial in range(trials):
-                data = zero_shot_shots(task, n, seed=base_seed + trial)
-                if fail_first and n == 4 and trial == 0:
-                    continue
-                est = original(data.logits if estimator == "naive" else data)
-                errors.append(l1_distance(est, cfg.pretrain_prior))
-            arr = np.asarray(errors)
-            assert (row.n, row.mean_l1, row.std, row.bound, row.n_ok) == (
-                n, float(arr.mean()), float(arr.std()), m2_error_bound(k, n, 0.05), len(errors))
+        expected = []
+        for estimator in ("m1", "m2", "naive"):
+            for n in sorted(shots):
+                errors = []
+                for trial in range(trials):
+                    data = zero_shot_shots(task, n, seed=base_seed + trial)
+                    if estimator == fail_first and n == 4 and trial == 0:
+                        continue
+                    est = originals[estimator](data.logits if estimator == "naive" else data)
+                    errors.append(l1_distance(est, cfg.pretrain_prior))
+                arr = np.asarray(errors)
+                expected.append((estimator, n, float(arr.mean()), float(arr.std()), len(errors)))
+        assert [(r.estimator, r.n, r.mean_l1, r.std, r.n_ok) for r in study.rows] == expected
 
     @pytest.mark.filterwarnings("error")
     def test_unconverged_m1_fit_is_a_dropped_trial(self, monkeypatch):

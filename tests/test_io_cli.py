@@ -943,15 +943,16 @@ class TestCliStudyAndSimulate:
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--estimator", "m2", "--out", out]) == 0
         lines = Path(out).read_text().strip().splitlines()
-        assert lines[0] == "n,mean_l1,std,bound"
-        assert len(lines) == 3
+        assert lines[0] == "estimator,n,mean_l1,std,n_ok"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["m2", "25"], ["m2", "100"]]
+        assert all(line.endswith(",1") for line in lines[1:])
 
     def test_study_row_lines_count_good_trials(self, tmp_path, capsys, monkeypatch):
         cfg = self._config(tmp_path, trials=3)
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--estimator", "m1", "--out", out]) == 0
         rows = capsys.readouterr().out.splitlines()
-        assert [row.split()[0] for row in rows] == ["N=25:", "N=100:"]
+        assert [row.split()[:2] for row in rows] == [["m1", "N=25:"], ["m1", "N=100:"]]
         assert all(row.endswith(" ok=3/3") for row in rows)
         csv = Path(out).read_bytes()
         # an unconverged Method 1 fit is not a good trial; the CSV keeps its columns
@@ -961,7 +962,7 @@ class TestCliStudyAndSimulate:
         assert [row.split()[-1] for row in captured.out.splitlines()] == ["ok=0/3", "ok=0/3"]
         assert captured.err == ""
         lines = Path(out).read_text().splitlines()
-        assert lines[0] == csv.decode().splitlines()[0] and lines[1].startswith("25,nan,nan,")
+        assert lines[0] == csv.decode().splitlines()[0] and lines[1:] == ["m1,25,nan,nan,0", "m1,100,nan,nan,0"]
 
     def test_study_deterministic(self, tmp_path):
         cfg = self._config(tmp_path)
