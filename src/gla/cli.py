@@ -25,7 +25,7 @@ from .io_formats import (
     save_report,
     save_study_csv,
 )
-from .numerics import LOG_FLOOR, LabelledLogits, ProbabilitySimplex, log_prior
+from .numerics import LOG_FLOOR, LabelledLogits, ProbabilitySimplex, as_int, as_real, log_prior
 from .prior_estimation import (
     build_transition_matrix,
     estimate_prior_m1,
@@ -112,6 +112,8 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if len(set(args.estimator)) < len(args.estimator):
+        raise ConfigError(f"--estimator names an estimator twice: {' '.join(args.estimator)}")
     cfg = load_run_config(args.config)
     if cfg.task is None:
         raise ConfigError("study requires a 'task' section in the config")
@@ -148,6 +150,21 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _checked(convert, rule, name, *bounds):
+    """An argparse type: `convert` the text (a ValueError is argparse's own
+    "invalid int value" or "invalid float value" usage error), then apply the
+    argument `rule`, whose InvalidInput becomes a usage error with its message."""
+
+    def parse(text):
+        try:
+            return rule(convert(text), name, *bounds)
+        except InvalidInput as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gla",
@@ -171,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     # alpha_mix has no target-prior term, so a mix takes no --prior-t
     mix = p.add_mutually_exclusive_group()
     mix.add_argument("--prior-t")
-    mix.add_argument("--alpha", type=float)
+    mix.add_argument("--alpha", type=_checked(float, as_real, "alpha", 0.0, 1.0))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ensemble)
 
@@ -192,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out-zs", required=True)
     p.add_argument("--out-ft", required=True)
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_checked(int, as_int, "n", 1), default=1000)
+    p.add_argument("--seed", type=_checked(int, as_int, "seed", 0), default=0)
     p.add_argument(
         "--prior", choices=["balanced", "pretrain", "source"], default="balanced"
     )

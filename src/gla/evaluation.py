@@ -196,7 +196,10 @@ def run_convergence_study(
 
 
 def loglog_slope(study: ConvergenceStudy) -> float:
-    """Least-squares slope of log mean error against log N."""
+    """Least-squares slope of log mean error against log N, for a study of
+    one estimator."""
+    if len({r.estimator for r in study.rows}) > 1:
+        raise InvalidInput("loglog_slope fits one estimator's rows, got a study of several")
     ns = np.array([r.n for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0])
     errs = np.array([r.mean_l1 for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0])
     if ns.size < 2:

@@ -228,6 +228,13 @@ class TestConvergenceStudy:
         study = run_convergence_study(SyntheticTaskConfig(k=2, seed=1), "m2", [50], trials=3)
         assert study.rows[0].n_ok == 2
 
+    def test_one_name_equals_one_element_sequence(self):
+        cfg = SyntheticTaskConfig(k=3, seed=6)
+        rows = [run_convergence_study(cfg, names, [10, 40], trials=2, base_seed=4).rows
+                for names in ("m1", ("m1",), ["m1"])]
+        assert rows[0] == rows[1] == rows[2]
+        assert [r.estimator for r in rows[0]] == ["m1", "m1"]
+
     NAMES = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}
 
     @pytest.mark.parametrize("fail_first", [None, "m1", "m2", "naive"])
@@ -301,10 +308,17 @@ class TestConvergenceStudy:
             ({"trials": 1.5}, "trials"),
             ({"base_seed": None}, "base_seed"),
             ({"base_seed": 1.0}, "base_seed"),
+            ({"estimators": ()}, "estimators must name one or more"),
+            ({"estimators": ""}, r"estimators\[0\] must be one of"),
+            ({"estimators": None}, "estimators must name one or more"),
+            ({"estimators": "m3"}, r"estimators\[0\] must be one of .*, got 'm3'"),
+            ({"estimators": ("m1", "M2")}, r"estimators\[1\] must be one of .*, got 'M2'"),
+            ({"estimators": ["m2", 1]}, r"estimators\[1\] must be one of .*, got 1"),
+            ({"estimators": ("m2", "naive", "m2")}, r"estimators\[2\] repeats 'm2'"),
         ):
-            args = {"shots": [10], "trials": 1, "base_seed": 0, **kwargs}
+            args = {"estimators": "m2", "shots": [10], "trials": 1, "base_seed": 0, **kwargs}
             with pytest.raises(InvalidInput, match=name):
-                run_convergence_study(cfg, "m2", **args)
+                run_convergence_study(cfg, **args)
         study = run_convergence_study(cfg, "m2", np.array([10, 20]), np.int64(2), base_seed=np.int32(3))
         assert study.shots == [10, 20] and study.metadata["base_seed"] == 3
         with pytest.raises(InvalidInput, match="k must be an integer"):
@@ -318,3 +332,14 @@ class TestConvergenceStudy:
             cfg, "m2", [25, 100, 400, 1600], trials=10, base_seed=13
         )
         assert loglog_slope(study) == pytest.approx(-0.5, abs=0.15)
+
+    def test_loglog_slope_fits_one_estimator(self):
+        cfg = SyntheticTaskConfig(k=2, pretrain_prior=ProbabilitySimplex([0.7, 0.3]), seed=5)
+        both = run_convergence_study(cfg, ("m2", "naive"), [25, 100, 400], trials=3, base_seed=13)
+        with pytest.raises(InvalidInput, match="one estimator"):
+            loglog_slope(both)
+        one = run_convergence_study(cfg, "m2", [25, 100, 400], trials=3, base_seed=13)
+        ns = [r.n for r in one.rows]
+        errs = [r.mean_l1 for r in one.rows]
+        assert loglog_slope(one) == float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
+        assert one.rows == both.rows[:3]

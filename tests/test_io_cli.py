@@ -652,6 +652,39 @@ class TestCliEstimate:
     def test_usage_error_exit_2(self, tmp_path):
         assert main(["estimate", "--method", "bogus"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--n", "0"], "argument --n: n must be >= 1, got 0"),
+        (["simulate", "--n", "-3"], "argument --n: n must be >= 1, got -3"),
+        (["simulate", "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["simulate", "--seed", "-1"], "argument --seed: seed must be >= 0, got -1"),
+        (["simulate", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+        (["ensemble", "--alpha", "nan"], "argument --alpha: alpha must be a finite real number, got nan"),
+        (["ensemble", "--alpha", "inf"], "argument --alpha: alpha must be a finite real number, got inf"),
+        (["ensemble", "--alpha", "1.5"], "argument --alpha: alpha must lie in [0, 1], got 1.5"),
+        (["ensemble", "--alpha", "-0.5"], "argument --alpha: alpha must lie in [0, 1], got -0.5"),
+        (["ensemble", "--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+        (["study", "--estimator", "m2", "m2"], "--estimator names an estimator twice: m2 m2"),
+        (["study", "--estimator", "m1", "naive", "m1"], "--estimator names an estimator twice: m1 naive m1"),
+    ], ids=["n-zero", "n-negative", "n-not-int", "seed-negative", "seed-not-int", "alpha-nan", "alpha-inf",
+            "alpha-above-1", "alpha-below-0", "alpha-not-float", "estimator-twice", "estimator-twice-apart"])
+    def test_out_of_range_flag_values_exit_2(self, tmp_path, capsys, argv, message):
+        """A flag value outside its argument rule is a usage error, like a
+        value that is not a number, and nothing is read or written."""
+        cfg = write(tmp_path / "cfg.json", json.dumps({"task": {"k": 2}, "study": {"shots": [10], "trials": 1}}))
+        logits = make_fixture_csv(tmp_path, "l.csv", np.zeros((2, 2)), [0, 1])
+        prior = str(tmp_path / "p.json")
+        save_prior(prior, PriorDocument(prior=ProbabilitySimplex([0.5, 0.5])))
+        rest = {
+            "simulate": ["--config", cfg, "--out-zs", str(tmp_path / "zs.csv"), "--out-ft", str(tmp_path / "ft.csv")],
+            "ensemble": ["--ft", logits, "--zs", logits, "--prior-p", prior, "--prior-s", prior,
+                         "--out", str(tmp_path / "c.csv")],
+            "study": ["--config", cfg, "--out", str(tmp_path / "s.csv")],
+        }[argv[0]]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv[:1] + rest + argv[1:]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_not_utf8_logits_exit_1(self, tmp_path, capsys):
         logits = write_bytes(tmp_path / "l.csv", NOT_UTF8["logits"])
         out = str(tmp_path / "p.json")
