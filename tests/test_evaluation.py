@@ -235,8 +235,6 @@ class TestConvergenceStudy:
         assert rows[0] == rows[1] == rows[2]
         assert [r.estimator for r in rows[0]] == ["m1", "m1"]
 
-    NAMES = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}
-
     @pytest.mark.parametrize("fail_first", [None, "m1", "m2", "naive"])
     def test_rows_equal_per_cell_reference(self, monkeypatch, fail_first):
         """One draw per trial, read by all three estimators, gives each
@@ -245,7 +243,8 @@ class TestConvergenceStudy:
         k, shots, trials, base_seed = 5, [30, 4, 12, 30], 3, 21
         cfg = SyntheticTaskConfig(k=k, dim=3, mean_separation=2.5, seed=8,
                                   pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
-        originals = {name: getattr(gla.evaluation, fn) for name, fn in self.NAMES.items()}
+        functions = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}
+        originals = {name: getattr(gla.evaluation, fn) for name, fn in functions.items()}
         calls = []
 
         def flaky(name):
@@ -256,7 +255,7 @@ class TestConvergenceStudy:
                 return originals[name](*args, **kwargs)
             return call
 
-        for name, fn in self.NAMES.items():
+        for name, fn in functions.items():
             monkeypatch.setattr(gla.evaluation, fn, flaky(name))
         study = run_convergence_study(cfg, ("m1", "m2", "naive"), shots, trials, base_seed=base_seed)
         # each estimator's first call is the first trial at the smallest count, as with a draw per cell
