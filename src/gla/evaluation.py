@@ -31,8 +31,8 @@ class EvalReport:
 
 @dataclass(frozen=True)
 class StudyOptions:
-    """The convergence study's one config shape: shot counts per class (kept
-    sorted), trials per count and the first trial's seed."""
+    """The convergence study's one config shape: distinct shot counts per
+    class (kept sorted), trials per count and the first trial's seed."""
 
     shots: list = field(default_factory=lambda: [25, 100, 400, 1600])
     trials: int = 5
@@ -40,7 +40,11 @@ class StudyOptions:
 
     def __post_init__(self):
         entries = enumerate(self.shots) if np.iterable(self.shots) else ()
-        shots = sorted(as_int(n, f"shots[{i}]", 1) for i, n in entries)
+        shots = [as_int(n, f"shots[{i}]", 1) for i, n in entries]
+        for i, n in enumerate(shots):
+            if n in shots[:i]:
+                raise InvalidInput(f"shots[{i}] repeats {n}")
+        shots.sort()
         if not shots:
             raise InvalidInput(f"shots must be a nonempty list of counts >= 1, got {self.shots!r}")
         as_int(self.trials, "trials", 1)

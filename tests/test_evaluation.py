@@ -240,7 +240,7 @@ class TestConvergenceStudy:
         """One draw per trial, read by all three estimators, gives each
         estimator the rows of a fresh draw per cell, exactly; a GlaError on
         one estimator's first call drops that estimator's trial alone."""
-        k, shots, trials, base_seed = 5, [30, 4, 12, 30], 3, 21
+        k, shots, trials, base_seed = 5, [30, 4, 12], 3, 21
         cfg = SyntheticTaskConfig(k=k, dim=3, mean_separation=2.5, seed=8,
                                   pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
         functions = {"m1": "estimate_prior_m1", "m2": "estimate_prior_m2", "naive": "estimate_prior_naive"}
@@ -304,6 +304,7 @@ class TestConvergenceStudy:
             ({"shots": [10.7]}, r"shots\[0\]"),
             ({"shots": [5, True]}, r"shots\[1\]"),
             ({"shots": ["5"]}, r"shots\[0\]"),
+            ({"shots": [30, 4, 30]}, r"shots\[2\] repeats 30"),
             ({"trials": 1.5}, "trials"),
             ({"base_seed": None}, "base_seed"),
             ({"base_seed": 1.0}, "base_seed"),

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import random
 import re
 import stat
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +19,9 @@ from gla import prior_estimation
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
-from gla.float_text import format_fields
+from gla.float_text import format_fields, parse_fields
 from gla.io_formats import (
+    CSV_READ_BLOCK_BYTES,
     CSV_WRITE_BLOCK_FIELDS,
     PriorDocument,
     atomic_write_text,
@@ -207,6 +210,32 @@ def kernel_text(values):
     return fields.tobytes().translate(None, b"\0")
 
 
+def parse_texts(texts):
+    """parse_fields' values and taken flags of `texts`, in blocks, each
+    field followed by a comma, with the bytes it reads around them."""
+    values, taken = [], []
+    for i in range(0, len(texts), 2**16):
+        chunk = [t.encode() for t in texts[i : i + 2**16]]
+        lengths = np.array([len(t) for t in chunk])
+        ends = 24 + np.cumsum(lengths + 1) - 1
+        data = np.frombuffer(b"\0" * 24 + b",".join(chunk) + b"," + b"\0" * 8, np.uint8)
+        v, t, _ = parse_fields(data, ends - lengths, ends)
+        values.append(v)
+        taken.append(t)
+    return np.concatenate(values), np.concatenate(taken)
+
+
+def near_tie(text):
+    """Whether the decimal `text` lies within 2**-19 of a gap from the
+    midpoint between float(text) and its neighbour on the decimal's side."""
+    exact, nearest = Fraction(text), float(text)
+    if exact == nearest:
+        return False
+    neighbour = float(np.nextafter(nearest, math.inf if exact > nearest else -math.inf))
+    gap = abs(Fraction(neighbour) - Fraction(nearest))
+    return abs(exact - (Fraction(nearest) + Fraction(neighbour)) / 2) <= gap / 2**19
+
+
 def deep_csv(tmp_path, lineno, line, n=100_000):
     """A 100k-row K=2 logit CSV whose line `lineno` is replaced by `line`."""
     rows = [b"0,1,2\n"] * n
@@ -214,27 +243,78 @@ def deep_csv(tmp_path, lineno, line, n=100_000):
     return write_bytes(tmp_path / "deep.csv", b"label,c0,c1\n" + b"".join(rows))
 
 
+def check_round_trip(path, scores, labels):
+    """save_logits writes %.17g row by row, and load_logits reads back the
+    same bits, signs of zero included, and labels."""
+    save_logits(str(path), LogitTable(scores), labels)
+    assert path.read_bytes() == row_by_row_csv(scores, labels), len(scores)
+    loaded = load_logits(str(path))
+    table = loaded if labels is None else loaded.logits
+    assert np.array_equal(table.scores.view(np.uint64), scores.view(np.uint64)), len(scores)
+    if labels is not None:
+        assert np.array_equal(loaded.labels, labels)
+
+
+def reader_edges(scores, labels, blocks=2):
+    """The row counts whose text, with the header, ends just before and
+    just past each of the first `blocks` multiples of the reader's block."""
+    lines = row_by_row_csv(scores, labels).split(b"\n")[:-1]
+    ends = np.cumsum([len(line) + 1 for line in lines])
+    rows = {int(np.searchsorted(ends, b * CSV_READ_BLOCK_BYTES, side="right")) - 1 for b in range(1, blocks + 1)}
+    return sorted(n + d for n in rows for d in (-1, 0, 1) if 1 <= n + d < len(lines))
+
+
+# The line of deep_csv's file that crosses the end of the reader's first block.
+EDGE_LINE = (CSV_READ_BLOCK_BYTES - len(b"label,c0,c1\n")) // len(b"0,1,2\n") + 2
+# Odd lines and what the line-at-a-time reader (numpy.loadtxt for the
+# scores, int() for the labels) made of them, recorded from it: the value
+# of the last score field, the label, or the text of the ParseError.
+PARITY = [
+    (b"0,1, 1.5", 1.5),
+    (b"0,1,1.5 ", 1.5),
+    (b"0,1,+1.5", 1.5),
+    (b"0,1,1e-5", 1e-05),
+    (b"0,1,1E5", 100000.0),
+    (b"0,1,.5", 0.5),
+    (b"0,1,5.", 5.0),
+    (b"0,1,-0", -0.0),
+    (b"0,1,\t1.5", 1.5),
+    ("0,1,\xa01.5".encode(), 1.5),
+    (b"0,1,123456789012345678901234567890", 1.2345678901234568e29),
+    (b"0,1,1_0", "bad numeric field"),
+    (b"0,1,0x10", "bad numeric field"),
+    (b"0,1,", "bad numeric field"),
+    (b"0,1,nan", "non-finite score"),
+    (b"0,1,inf", "non-finite score"),
+    (b"+1,1,2", 1),
+    (b" 1,1,2", 1),
+    (b"0_1,1,2", 1),
+    (b"01,1,2", 1),
+    ("\u0661,1,2".encode(), 1),
+    (b"1.0,1,2", "bad label '1.0'"),
+    (b"9007199254740993,1,2", "label 9007199254740992 out of range [0, 2)"),
+]
+
+
 class TestLogitStreaming:
     @pytest.mark.parametrize("k", [2, 10, 1000])
     @pytest.mark.parametrize("labelled", [True, False], ids=["labelled", "unlabelled"])
     def test_bytes_at_block_edges(self, tmp_path, k, labelled):
-        # N at the edges of the writer's blocks and of the LOGIT_BLOCK_FIELDS
-        # blocks of the other row-wise kernels; the reader has no blocks
+        # N at the edges of the writer's blocks, of the LOGIT_BLOCK_FIELDS
+        # blocks of the other row-wise kernels, and of the reader's blocks
         steps = [max(1, fields // (k + 1)) for fields in (LOGIT_BLOCK_FIELDS, CSV_WRITE_BLOCK_FIELDS)]
         rng = np.random.default_rng(k)
         path = tmp_path / "t.csv"
         for n in sorted({n for step in steps for n in (step - 1, step, step + 1, 2 * step + 1) if n >= 1}):
             scores = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-300, 300, size=(n, k))
             scores[0, 0], scores[-1, -1] = -0.0, 5e-324
-            labels = rng.integers(0, k, n) if labelled else None
-            save_logits(str(path), LogitTable(scores), labels)
-            assert path.read_bytes() == row_by_row_csv(scores, labels), n
-            loaded = load_logits(str(path))
-            table = loaded.logits if labelled else loaded
-            assert np.array_equal(table.scores, scores)
-            assert np.array_equal(np.signbit(table.scores), np.signbit(scores))
-            if labelled:
-                assert np.array_equal(loaded.labels, labels)
+            check_round_trip(path, scores, rng.integers(0, k, n) if labelled else None)
+        # fixed-notation scores, which the reader's kernel parses itself
+        n = 3 * CSV_READ_BLOCK_BYTES // (20 * (k + 1))
+        scores = rng.normal(size=(n, k)) * 10.0 ** rng.integers(-4, 17, size=(n, k))
+        labels = rng.integers(0, k, n) if labelled else None
+        for n in reader_edges(scores, labels):
+            check_round_trip(path, scores[:n], None if labels is None else labels[:n])
 
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
@@ -251,9 +331,7 @@ class TestLogitStreaming:
         scores = bits.view(np.float64)
         scores[~np.isfinite(scores)] = TARGETED[: (~np.isfinite(scores)).sum()]
         labels = data.draw(arrays(np.int64, n, elements=st.integers(0, k - 1)), label="labels") if labelled else None
-        path = tmp_path / "t.csv"
-        save_logits(str(path), LogitTable(scores), labels)
-        assert path.read_bytes() == row_by_row_csv(scores, labels)
+        check_round_trip(tmp_path / "t.csv", scores, labels)
 
     def test_kernel_matches_percent_format(self):
         # 1.2M values: random bit patterns, magnitudes spread evenly in log
@@ -273,6 +351,43 @@ class TestLogitStreaming:
             warnings.simplefilter("error")
             text = kernel_text(values)
         assert text == "".join("%.17g\n" % x for x in values.tolist()).encode()
+
+    def test_parse_fields_matches_float(self):
+        # 1.2M fields: random decimals of 1 to 19 significant digits at every
+        # fraction length 0 to 22, either sign; exact binary midpoints; zeros;
+        # and %.17g of the targeted values.  A taken field has float()'s bits,
+        # and a field of the kernel's syntax is left only past 9.22e18 or
+        # within 2**-20 of half a gap from a tie; no floating-point warning or
+        # error may occur
+        rng = random.Random(22)
+        texts = []
+        for digits in range(1, 20):
+            for fraction in range(23):
+                for _ in range(2750):
+                    d = str(rng.randrange(10 ** (digits - 1), 10**digits))
+                    if fraction >= digits:
+                        d = "0." + "0" * (fraction - digits) + d
+                    elif fraction:
+                        d = d[:-fraction] + "." + d[-fraction:]
+                    texts.append(rng.choice(["", "-"]) + d)
+        midpoints = ["9007199254740993", "9007199254740995", "4503599627370496.5"]
+        ties = slice(len(texts), len(texts) + 6)
+        texts += midpoints + ["-" + m for m in midpoints]
+        # zeros and %.17g in fixed notation: never near a tie
+        exact = slice(len(texts), None)
+        texts += ["0", "-0", "0.0", "-0.000", "000", "-00.00"]
+        texts += ["%.17g" % x for x in TARGETED.tolist() if "e" not in "%.17g" % x]
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, taken = parse_texts(texts)
+        expected = np.array([float(t) for t in texts])
+        assert np.array_equal(values[taken].view(np.uint64), expected[taken].view(np.uint64))
+        assert not taken[ties].any()
+        assert taken[exact].all()
+        for i in np.flatnonzero(~taken).tolist():
+            text = texts[i]
+            if len(text) <= 24 and int(text.lstrip("-").replace(".", "")) < 922 * 10**16:
+                assert near_tie(text), text
 
     def test_memory_is_table_plus_one_block(self, tmp_path):
         # a whole-file text copy of this 16 MB table is about 38 MB
@@ -342,6 +457,46 @@ class TestLogitStreaming:
         what = "bad label 'z'" if fault.startswith(b"z") else "bad numeric field"
         with pytest.raises(ParseError, match=f"^line {lineno}: {what}$"):
             load_logits(path)
+
+    @pytest.mark.parametrize("lineno", [2, EDGE_LINE, 100_001], ids=["first", "block-edge", "last"])
+    @pytest.mark.parametrize("line, expected", PARITY, ids=[repr(line) for line, _ in PARITY])
+    def test_parse_parity(self, tmp_path, lineno, line, expected):
+        """Each odd field, on line 2, on the line across the reader's first
+        block end and on the last line of a 100k-row file, reads as the
+        line-at-a-time reader read it (PARITY), and every other row as
+        written."""
+        path = deep_csv(tmp_path, lineno, line + b"\n")
+        if isinstance(expected, str):
+            with pytest.raises(ParseError, match=f"^line {lineno}: {re.escape(expected)}$"):
+                load_logits(path)
+            return
+        loaded = load_logits(path)
+        scores, labels = loaded.logits.scores, loaded.labels
+        got = labels[lineno - 2] if isinstance(expected, int) else scores[lineno - 2, 1]
+        assert got == expected and np.signbit(got) == np.signbit(expected)
+        assert (np.delete(scores, lineno - 2, axis=0) == [1, 2]).all()
+        assert not np.delete(labels, lineno - 2).any()
+
+    @pytest.mark.parametrize("lineno", [2, EDGE_LINE, 100_001], ids=["first", "block-edge", "last"])
+    def test_parse_parity_of_line_ends(self, tmp_path, lineno):
+        # a bare carriage return ends a line, as in text mode; one inside a
+        # line splits it there
+        loaded = load_logits(deep_csv(tmp_path, lineno, b"0,1,2\r"))
+        assert (loaded.logits.scores == [1, 2]).all() and len(loaded.labels) == 100_000
+        with pytest.raises(ParseError, match=f"^line {lineno}: expected 3 fields, got 2$"):
+            load_logits(deep_csv(tmp_path, lineno, b"0,1\r,2\n"))
+
+    def test_parse_parity_of_files(self, tmp_path):
+        crlf = write_bytes(tmp_path / "crlf.csv", b"label,c0,c1\r\n" + b"0,1,2\r\n" * 100_000)
+        loaded = load_logits(crlf)
+        assert (loaded.logits.scores == [1, 2]).all() and not loaded.labels.any()
+        unended = deep_csv(tmp_path, 100_001, b"1,3,4.5")
+        loaded = load_logits(unended)
+        assert loaded.logits.scores[-1].tolist() == [3, 4.5] and loaded.labels[-1] == 1
+        assert loaded.logits.scores.shape == (100_000, 2)
+        late = deep_csv(tmp_path, 99_995, b"1,0.5,\xff\n")
+        with pytest.raises(ParseError, match=re.escape(f"{late} is not UTF-8 text (invalid start byte)")):
+            load_logits(late)
 
     @pytest.mark.parametrize("exc", [OSError(28, "No space left on device"), KeyboardInterrupt()],
                              ids=["oserror", "interrupt"])
@@ -1013,7 +1168,8 @@ class TestCliStudyAndSimulate:
         ({"shots": [0, 25]}, "study.shots"),
         ({"trials": 0}, "study.trials"),
         ({"base_seed": -1}, "study.base_seed"),
-    ], ids=["empty-shots", "zero-shots", "zero-trials", "negative-seed"])
+        ({"shots": [30, 30]}, "study.shots[1] repeats 30"),
+    ], ids=["empty-shots", "zero-shots", "zero-trials", "negative-seed", "repeated-shots"])
     def test_study_range_error_exit_2(self, tmp_path, capsys, study, key):
         cfg = self._config(tmp_path, **study)
         out = str(tmp_path / "study.csv")
