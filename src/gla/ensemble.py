@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidInput
-from .numerics import LogitTable, _freeze, as_real, check_type, finite_vector
+from .numerics import LogitTable, _freeze, as_real, check_type, finite_vector, row_blocks
 
 
 def _as_log_prior(vec, name: str) -> np.ndarray:
@@ -103,7 +103,10 @@ def alpha_mix(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, alpha: float)
     _check_combiner(ft, zs, adj)
     out = zs.scores - adj.pi_p
     out *= 1.0 - alpha
-    ft_part = ft.scores - adj.pi_s
-    ft_part *= alpha
-    out += ft_part
+    # the ft part one row block at a time, so no second table is held
+    for rows in row_blocks(*out.shape):
+        ft_part = ft.scores[rows] - adj.pi_s
+        ft_part *= alpha
+        out[rows] += ft_part
+        del ft_part  # before the next block's is made
     return LogitTable(out)

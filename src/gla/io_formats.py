@@ -20,23 +20,25 @@ import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
 from .evaluation import ESTIMATORS, ConvergenceStudy, EvalReport, StudyOptions
-from .float_text import format_fields, format_float, parse_fields
+from .float_text import Workspace, format_fields, format_float, parse_fields
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int, check_type, row_blocks,
 )
 from .synthlab import SyntheticTaskConfig
 
 def atomic_write_text(path: str, text) -> None:
-    """Write `text`, a string or an iterable of strings, through a temporary
-    file and a rename.  The file is created with mode 0o666 less the umask,
-    as open() would create it; a failed write leaves no file behind, and an
-    OSError on the temporary file names `path` instead."""
+    """Write `text`, a string or bytes or an iterable of strings and bytes,
+    through a temporary file and a rename: strings as UTF-8, bytes as they
+    are.  The file is created with mode 0o666 less the umask, as open()
+    would create it; a failed write leaves no file behind, and an OSError on
+    the temporary file names `path` instead."""
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".gla-tmp-{os.urandom(6).hex()}")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with os.fdopen(fd, "w") as fh:
-                fh.writelines([text] if isinstance(text, str) else text)
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in [text] if isinstance(text, (str, bytes)) else text:
+                    fh.write(chunk.encode() if isinstance(chunk, str) else chunk)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):
@@ -64,20 +66,17 @@ def _header(k: int) -> str:
 
 
 # The writer formats blocks of about this many fields at once with
-# float_text.format_fields.  A block's temporaries (eight float64 arrays of
-# its size, its 32-byte fields and its text) then fit in heap pages that
-# earlier work left free: `gla simulate` of 100k rows at K=10 takes 14 more
-# minor page faults (of 14.3k) than with one `%` format per block of 2**12
-# fields, all of them in importing float_text.  Blocks of 2**12 fields
-# write about a fifth faster but take 110 more faults; blocks of
-# numerics.LOGIT_BLOCK_FIELDS, whose temporaries pass glibc's 128 KiB mmap
-# threshold, take 5.5k more.
-CSV_WRITE_BLOCK_FIELDS = 2**11
+# float_text.format_fields, in one workspace per save, and writes each
+# block's bytes to the file.  The kernel makes about a hundred numpy calls
+# a block, whose fixed cost stops mattering near 2**13 fields: per 1.1M
+# fields it takes about 140-180 ms in blocks of 2**11, 83-97 ms in blocks
+# of 2**14, and 113 ms in blocks of 2**16.
+CSV_WRITE_BLOCK_FIELDS = 2**14
 
 
 def _logit_blocks(scores: np.ndarray, labels: np.ndarray | None):
     n, k = scores.shape
-    yield _header(k) + "\n"
+    yield (_header(k) + "\n").encode()
     step = max(1, CSV_WRITE_BLOCK_FIELDS // (k + 1))
     # one block's numbers, the label first (0 when unlabelled, then blanked),
     # and their 32-byte fields, each ending in its delimiter; a bytearray
@@ -87,6 +86,7 @@ def _logit_blocks(scores: np.ndarray, labels: np.ndarray | None):
     fields = np.frombuffer(buffer, np.uint64).reshape(step, k + 1, 4)
     delimiters = np.full(k + 1, ord(",") << 56, np.uint64)
     delimiters[-1] = ord("\n") << 56
+    work = Workspace()
     for rows in row_blocks(n, k + 1, CSV_WRITE_BLOCK_FIELDS):
         part = scores[rows]
         block = values[: len(part)]
@@ -94,12 +94,12 @@ def _logit_blocks(scores: np.ndarray, labels: np.ndarray | None):
         if labels is not None:
             block[:, 0] = labels[rows]
         text = fields[: len(block)]
-        format_fields(block.reshape(-1), text.reshape(-1, 4))
+        format_fields(block.reshape(-1), text.reshape(-1, 4), work)
         if labels is None:
             text[:, 0] = 0
         text[:, :, 3] |= delimiters
         data = buffer if text.nbytes == len(buffer) else buffer[: text.nbytes]
-        yield data.translate(None, b"\0").decode("ascii")
+        yield data.translate(None, b"\0")
 
 
 def save_logits(path: str, table: LogitTable, labels=None) -> None:
@@ -109,13 +109,11 @@ def save_logits(path: str, table: LogitTable, labels=None) -> None:
 
 
 # The reader parses blocks of about this many bytes, cut at line ends, with
-# float_text.parse_fields, and writes each block's rows into the table; a
-# block's temporaries, about 15 arrays of its 13k or so fields, are near
-# 1.5 MB.  Freeing them lets glibc trim its heap, so each block faults its
-# pages in again: `gla ensemble` at 100k rows and K=10 takes about 36k
-# minor page faults, against 11k with numpy.loadtxt or with blocks of 2**16
-# bytes, which cost about 5% more CPU time; its peak RSS is within 0.3 MB
-# of loadtxt's.
+# float_text.parse_fields, and writes each block's rows into the table.  A
+# block's arrays, about 140 bytes for each of its 13k or so fields, live in
+# one workspace per load, sized by the first block, so no block frees pages
+# that the next faults in again: a first 100k x 10 load in a process takes
+# about 1.6k minor page faults, where freeing them took 24k.
 CSV_READ_BLOCK_BYTES = 2**18
 # parse_fields reads the 24 bytes before each field's end and 8 from it
 _BACK, _AHEAD = 24, 8
@@ -173,20 +171,24 @@ def _odd_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
     return np.empty(0)
 
 
-def _parse_block(data: np.ndarray, begin: int, stop: int, k: int) -> tuple[np.ndarray, bool]:
+def _parse_block(data: np.ndarray, begin: int, stop: int, k: int, work: Workspace) -> tuple[np.ndarray, bool]:
     """The rows of the lines data[begin:stop], each its label (NaN when
     empty) and K scores, up to the first line that may be a fault: one
     without K commas, a label that is not plain digits or nothing, or a
-    score _odd_fields stops at.  Returns them and whether a line was left."""
+    score _odd_fields stops at.  Returns them, arrays of `work`, and whether
+    a line was left."""
     text = data[begin:stop]
     width = k + 1
     # "," and the newline, and any other byte below "-", which no number
     # parse_fields takes has: the usual block has only K + 1 a line
-    seps = np.flatnonzero(text < ord("-"))
+    seps = np.flatnonzero(np.less(text, ord("-"), out=work("block bytes", 1, text.size, bool)[0]))
     lines = rows = seps.size // width
     row_ends = np.full(width, ord(","), np.uint8)
     row_ends[-1] = ord("\n")
-    if seps.size % width or not (text[seps].reshape(rows, width) == row_ends).all():
+    marks = work("separators", rows, width, np.uint8)
+    if seps.size % width or not np.equal(
+        np.take(text, seps.reshape(marks.shape), out=marks, mode="clip"), row_ends, out=marks
+    ).all():
         seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
         line_ends = np.flatnonzero(text[seps] == ord("\n"))
         lines = rows = line_ends.size
@@ -195,24 +197,23 @@ def _parse_block(data: np.ndarray, begin: int, stop: int, k: int) -> tuple[np.nd
             rows = int(ragged[0])
         seps = seps[: rows * width]
     seps += begin
-    starts = np.empty_like(seps)
+    (starts,) = work("starts", 1, seps.size, np.int64)
     starts[:1] = begin
     np.add(seps[:-1], 1, out=starts[1:])
-    values, taken, integral = parse_fields(data, starts, seps)
-    values = values.reshape(rows, width)
-    empty = (starts == seps).reshape(rows, width)
-    label_ok = integral.reshape(rows, width)[:, 0] | empty[:, 0]
+    values, taken, integral = parse_fields(data, starts, seps, work)
+    values, taken = values.reshape(rows, width), taken.reshape(rows, width)
+    empty = starts[::width] == seps[::width]
+    label_ok = integral[::width] | empty
     if not label_ok.all():
         rows = int(np.argmin(label_ok))
-    values[:, 0][empty[:, 0]] = math.nan
-    odd = np.flatnonzero(~taken.reshape(-1, width)[:rows, 1:])
-    if odd.size:
-        row, col = np.divmod(odd, k)
-        field = odd + row + 1
-        got = _odd_fields(data, starts[field], seps[field])
+    values[:, 0][empty] = math.nan
+    taken[:, 0] = True  # the labels are checked above
+    if not taken[:rows].all():
+        odd = np.flatnonzero(~taken[:rows])
+        got = _odd_fields(data, starts[odd], seps[odd])
         if got.size < odd.size:
-            rows = int(row[got.size])
-        values[row[: got.size], col[: got.size] + 1] = got
+            rows = int(odd[got.size] // width)
+        values.reshape(-1)[odd[: got.size]] = got
     return values[:rows], rows < lines
 
 
@@ -269,6 +270,7 @@ def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
     line, sends the whole file there."""
     n, left = 0, True
     k = scores = labels = None
+    work = Workspace()
     with open(path, "rb", buffering=0) as fh:
         size = os.fstat(fh.fileno()).st_size
         for data, stop in _line_blocks(fh):
@@ -281,7 +283,7 @@ def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
                     break
                 if begin == stop:
                     continue
-            block, left = _parse_block(data, begin, stop, k)
+            block, left = _parse_block(data, begin, stop, k, work)
             # resize() reallocates in place: no view of the table is alive
             if scores is None:
                 capacity = int(len(block) / (stop - begin) * size * 1.05) + 16

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from gla.ensemble import (
     naive_ensemble,
 )
 from gla.errors import DimensionError, InvalidInput
-from gla.numerics import LogitTable, ProbabilitySimplex, log_prior
+from gla.numerics import LOGIT_BLOCK_FIELDS, LogitTable, ProbabilitySimplex, log_prior
 
 
 def log_vec(*probs):
@@ -232,3 +233,27 @@ class TestAlphaMix:
         assert np.array_equal(
             np.argmax(out.scores, 1), np.argmax(combined.scores, 1)
         )
+
+
+def test_alpha_mix_holds_one_table():
+    # tables of many row blocks: the mix allocates its output and one
+    # block, as gla_combine allocates its output, with the written
+    # formula's bits
+    rng = np.random.default_rng(9)
+    n, k = 24 * (LOGIT_BLOCK_FIELDS // 1000) + 7, 1000
+    ft, zs = LogitTable(rng.normal(size=(n, k))), LogitTable(rng.normal(size=(n, k)))
+    pi_s, pi_p = (np.log(rng.dirichlet(np.ones(k))) for _ in range(2))
+    adj = AdjustmentSpec(pi_s=pi_s, pi_p=pi_p)
+    peaks = {}
+    for name, combine in (("mix", lambda: alpha_mix(ft, zs, adj, 0.3)), ("combine", lambda: gla_combine(ft, zs, adj))):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = combine()
+            peaks[name] = (tracemalloc.get_traced_memory()[1] - base) / ft.scores.nbytes
+        finally:
+            tracemalloc.stop()
+    assert peaks["mix"] <= 1.1, peaks
+    assert np.array_equal(out.scores, ft.scores + zs.scores - pi_s - pi_p)
+    mixed = alpha_mix(ft, zs, adj, 0.3).scores
+    assert np.array_equal(mixed, 0.7 * (zs.scores - pi_p) + 0.3 * (ft.scores - pi_s))

@@ -4,6 +4,8 @@ import os
 import random
 import re
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -15,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gla import prior_estimation
+from gla import io_formats, prior_estimation
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
 from gla.evaluation import EvalReport
@@ -255,6 +257,29 @@ def check_round_trip(path, scores, labels):
         assert np.array_equal(loaded.labels, labels)
 
 
+def longest_fixed(rng, shape):
+    """Random floats whose %.17g is the longest in fixed notation: "-0.000"
+    and 17 digits."""
+    values = -(1e-4 + 9e-4 * rng.random(shape))
+    short = np.array([len("%.17g" % x) < 23 for x in values.ravel().tolist()]).reshape(shape)
+    values[short] = -0.00012345678901234567
+    return values
+
+
+def count_odd_fields(monkeypatch):
+    """A list that gets the number of fields of each call to the reader's
+    fallback for the fields its kernel leaves, io_formats._odd_fields."""
+    counts = []
+    odd_fields = io_formats._odd_fields
+
+    def counted(data, starts, ends):
+        counts.append(len(starts))
+        return odd_fields(data, starts, ends)
+
+    monkeypatch.setattr(io_formats, "_odd_fields", counted)
+    return counts
+
+
 def reader_edges(scores, labels, blocks=2):
     """The row counts whose text, with the header, ends just before and
     just past each of the first `blocks` multiples of the reader's block."""
@@ -388,6 +413,78 @@ class TestLogitStreaming:
             text = texts[i]
             if len(text) <= 24 and int(text.lstrip("-").replace(".", "")) < 922 * 10**16:
                 assert near_tie(text), text
+
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_stale_workspace_writer_blocks(self, tmp_path, monkeypatch, k):
+        # the kernels reuse one workspace a save or load: rows of the longest
+        # fixed-notation fields (sign, "0.000" and 17 digits) alternate with
+        # rows of the shortest ("0", "1"), in a phase that flips each writer
+        # block, so each block's fields meet the other kind's leftovers; the
+        # last block is partial
+        step = max(1, CSV_WRITE_BLOCK_FIELDS // (k + 1))
+        n = 2 * step + step // 2 + 1
+        rng = np.random.default_rng(k + 1)
+        scores = longest_fixed(rng, (n, k))
+        rows = np.arange(n)
+        short = (rows + rows // step) % 2 == 1
+        scores[short] = rng.integers(0, 2, (short.sum(), k))
+        odd = count_odd_fields(monkeypatch)
+        check_round_trip(tmp_path / "t.csv", scores, rng.integers(0, k, n))
+        assert odd == [], "the reader's kernel left fixed-notation fields"
+
+    @pytest.mark.parametrize("k", [2, 10, 1000])
+    def test_stale_workspace_reader_blocks(self, tmp_path, monkeypatch, k):
+        # reader blocks alternate long lines (the longest fixed-notation
+        # fields, every third row with a field in exponent form, which goes
+        # to _odd_fields) with short ones ("0", "1")
+        rng = np.random.default_rng(k + 2)
+        groups = []
+        for g in range(5):
+            if g % 2:
+                m = CSV_READ_BLOCK_BYTES // (2 * k + 2)
+                groups.append(rng.integers(0, 2, (m, k)).astype(np.float64))
+            else:
+                m = CSV_READ_BLOCK_BYTES // (24 * k + 2)
+                part = longest_fixed(rng, (m, k))
+                part[::3, rng.integers(0, k)] *= 1e-3  # "%.17g" writes "-1.2...e-07"
+                groups.append(part)
+        scores = np.concatenate(groups)[: -len(groups[-1]) // 2]
+        exponent_form = sum("e" in "%.17g" % x for x in scores.ravel().tolist())
+        assert exponent_form
+        odd = count_odd_fields(monkeypatch)
+        check_round_trip(tmp_path / "t.csv", scores, rng.integers(0, k, len(scores)))
+        assert sum(odd) == exponent_form
+
+    def test_fresh_process_page_faults(self, tmp_path):
+        # one workspace per save or load: a first 100k x 10 load in a
+        # process faults in about the table's pages (2.2k), not each
+        # block's arrays again
+        pytest.importorskip("resource")
+        path = str(tmp_path / "t.csv")
+        script = (
+            "import resource, sys\n"
+            "import numpy as np\n"
+            "from gla.io_formats import load_logits, save_logits\n"
+            "from gla.numerics import LogitTable\n"
+            "rng = np.random.default_rng(0)\n"
+            "table = LogitTable(rng.normal(size=(100_000, 10)) * 5 - 20)\n"
+            "labels = rng.integers(0, 10, 100_000)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "save_logits(sys.argv[1], table, labels) if sys.argv[2] == 'save' else load_logits(sys.argv[1])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(after - before, after)\n"
+        )
+        gla_root = str(Path(save_logits.__code__.co_filename).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [gla_root, os.environ.get("PYTHONPATH")])))
+        faults = {}
+        for mode in ("save", "load"):
+            run = subprocess.run([sys.executable, "-c", script, path, mode], capture_output=True, text=True, env=env)
+            assert run.returncode == 0, run.stderr
+            faults[mode], total = map(int, run.stdout.split())
+            if not total:
+                pytest.skip("ru_minflt is not counted here")
+        assert faults["save"] < 2000, faults
+        assert faults["load"] < 6000, faults
 
     def test_memory_is_table_plus_one_block(self, tmp_path):
         # a whole-file text copy of this 16 MB table is about 38 MB
