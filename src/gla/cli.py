@@ -2,37 +2,32 @@
 
 Exit codes: 0 success, 1 domain error (bad data, estimator failure),
 2 usage or config error.
+
+Each command imports the modules it runs when it runs, so a command pays
+for no other command's modules; `entry`, the `gla` command, then freezes
+the collector's generations (gc.freeze), so neither the collections
+during the run nor the interpreter's exit walk the import heap again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+from importlib import import_module
 
 import numpy as np
 
-from . import ensemble as ens
 from .errors import ConfigError, GlaError, InvalidInput
-from .evaluation import ESTIMATORS, breakdown_report, run_convergence_study
-from .io_formats import (
-    PriorDocument,
-    load_logits,
-    load_prior,
-    load_run_config,
-    save_logits,
-    save_prior,
-    save_report,
-    save_study_csv,
-)
 from .numerics import LOG_FLOOR, LabelledLogits, ProbabilitySimplex, as_int, as_real, log_prior
 from .prior_estimation import (
+    ESTIMATORS,
     build_transition_matrix,
     estimate_prior_m1,
     estimate_prior_naive,
     power_iterate,
 )
-from .synthlab import make_task, sample_batch
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -40,6 +35,8 @@ EXIT_USAGE = 2
 
 
 def _cmd_estimate(args) -> int:
+    from .io_formats import PriorDocument, load_logits, save_prior
+
     data = load_logits(args.logits)
     if args.method != "naive" and not isinstance(data, LabelledLogits):
         raise InvalidInput(f"labels required for method {args.method}")
@@ -65,6 +62,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_ensemble(args) -> int:
+    from . import ensemble as ens
+    from .io_formats import load_logits, load_prior, save_logits
+
     ft = load_logits(args.ft)
     zs = load_logits(args.zs)
     labels = None
@@ -87,6 +87,9 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .evaluation import breakdown_report
+    from .io_formats import load_logits, load_prior, save_report
+
     data = load_logits(args.logits)
     if not isinstance(data, LabelledLogits):
         raise InvalidInput("evaluation requires a fully labelled logit file")
@@ -112,6 +115,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    from .evaluation import run_convergence_study
+    from .io_formats import load_run_config, save_study_csv
+
     if len(set(args.estimator)) < len(args.estimator):
         raise ConfigError(f"--estimator names an estimator twice: {' '.join(args.estimator)}")
     cfg = load_run_config(args.config)
@@ -132,6 +138,9 @@ def _cmd_study(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from .io_formats import load_run_config, save_logits
+    from .synthlab import make_task, sample_batch
+
     if os.path.realpath(args.out_zs) == os.path.realpath(args.out_ft):
         raise ConfigError(f"--out-zs and --out-ft name the same file {args.out_ft!r}")
     cfg = load_run_config(args.config)
@@ -171,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Label-prior estimation, logit debiasing and ensembling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # `modules`: the gla modules a command's function imports, which main
+    # imports before it freezes the heap
 
     p = sub.add_parser("estimate", help="estimate the pre-training label prior")
     p.add_argument("--logits", required=True)
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="name of the split recorded in the prior file")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, modules=("io_formats",))
 
     p = sub.add_parser("ensemble", help="combine fine-tuned and zero-shot logits")
     p.add_argument("--ft", required=True)
@@ -190,20 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--prior-t")
     mix.add_argument("--alpha", type=_checked(float, as_real, "alpha", 0.0, 1.0))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ensemble)
+    p.set_defaults(func=_cmd_ensemble, modules=("io_formats", "ensemble"))
 
     p = sub.add_parser("evaluate", help="score a labelled logit file")
     p.add_argument("--logits", required=True)
     p.add_argument("--prior-p")
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_evaluate)
+    p.set_defaults(func=_cmd_evaluate, modules=("io_formats", "evaluation"))
 
     p = sub.add_parser("study", help="run an estimation-convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--estimator", required=True, nargs="+", choices=ESTIMATORS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_study)
+    p.set_defaults(func=_cmd_study, modules=("io_formats", "evaluation"))
 
     p = sub.add_parser("simulate", help="sample a synthetic task into logit files")
     p.add_argument("--config", required=True)
@@ -214,12 +225,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prior", choices=["balanced", "pretrain", "source"], default="balanced"
     )
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, modules=("io_formats", "synthlab"))
 
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None, *, freeze: bool = False) -> int:
+    """Run the command in `argv` (sys.argv[1:] when None) and return its
+    exit code.  With `freeze`, the collector's generations are frozen once
+    the command's modules are imported, for a process that ends with the
+    command."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -228,6 +243,10 @@ def main(argv=None) -> int:
     try:
         if "GLA_DEFAULT_FLOOR" in os.environ:
             raise ConfigError(f"GLA_DEFAULT_FLOOR is set, but the log floor is fixed at {LOG_FLOOR:g}")
+        for name in args.modules:
+            import_module(f"{__package__}.{name}")
+        if freeze:
+            gc.freeze()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -237,5 +256,10 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+def entry() -> int:
+    """The `gla` command: main() on sys.argv, with the heap frozen."""
+    return main(freeze=True)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

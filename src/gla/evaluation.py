@@ -13,10 +13,8 @@ from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
 from .numerics import (
     LabelledLogits, LogitTable, argmax_rows, as_int, check_type, class_counts, finite_vector, l1_distance,
 )
-from .prior_estimation import estimate_prior_m1, estimate_prior_m2, estimate_prior_naive
+from .prior_estimation import ESTIMATORS, estimate_prior_m1, estimate_prior_m2, estimate_prior_naive
 from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
-
-ESTIMATORS = ("m1", "m2", "naive")  # the one list of prior estimator names
 
 
 @dataclass(frozen=True, eq=False)

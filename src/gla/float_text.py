@@ -179,7 +179,18 @@ def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace | None = 
     np.multiply(first16, 10, out=rest)
     n17 -= rest
     quads[:, 6] = np.add(n17, ord("0"), out=rest)
+    # the trailing zeros of the 17 digits of each field whose last digit is
+    # 0: one more than those of its first 16 (below 10**16), which lose 8,
+    # 4, 2 and then 1 zeros where they end in that many; 0 has all 17
     trailing_zero = np.flatnonzero(np.equal(n17, 0, out=mask))
+    lead = first16[trailing_zero]
+    trailing = np.ones(lead.size, np.int64)
+    for drop in (8, 4, 2, 1):
+        cut = lead // 10**drop
+        whole = cut * 10**drop == lead
+        lead = np.where(whole, cut, lead)
+        trailing += whole * drop
+    trailing[lead == 0] = 17
     np.floor_divide(first16, 10**8, out=top8)
     first16 -= np.multiply(top8, 10**8, out=rest)
     for col, eight in ((2, top8), (4, first16)):
@@ -190,9 +201,7 @@ def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace | None = 
     # significant digits: the 17 less the trailing zeros (0 digits for 0)
     significant = s
     significant.fill(17)
-    nonzero = out.view(np.uint8)[trailing_zero, 8:25] != ord("0")
-    significant[trailing_zero] = (17 - np.argmax(nonzero[:, ::-1], axis=1)) * nonzero.any(axis=1)
-    del nonzero
+    significant[trailing_zero] = 17 - trailing
 
     # The point goes after the E + 1 integer digits, and the digits after it
     # move up a byte; for E < 0 the prefix holds it, and it goes past the

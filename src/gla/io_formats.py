@@ -15,16 +15,23 @@ import os
 import re
 import warnings
 from dataclasses import dataclass, fields as dc_fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, GlaError, InvalidInput, ParseError
-from .evaluation import ESTIMATORS, ConvergenceStudy, EvalReport, StudyOptions
 from .float_text import Workspace, format_fields, format_float, parse_fields
 from .numerics import (
     SIMPLEX_ATOL, LabelledLogits, LogitTable, ProbabilitySimplex, as_int, check_type, row_blocks,
 )
-from .synthlab import SyntheticTaskConfig
+from .prior_estimation import ESTIMATORS
+
+# The functions that use gla.evaluation and gla.synthlab import them, so a
+# command that reads and writes only logits and priors loads neither.
+if TYPE_CHECKING:
+    from .evaluation import ConvergenceStudy, EvalReport, StudyOptions
+    from .synthlab import SyntheticTaskConfig
+
 
 def atomic_write_text(path: str, text) -> None:
     """Write `text`, a string or bytes or an iterable of strings and bytes,
@@ -463,6 +470,8 @@ def load_prior(path: str) -> PriorDocument:
 
 
 def save_report(path: str, report: EvalReport) -> None:
+    from .evaluation import EvalReport
+
     check_type(report, EvalReport, "report")
     payload = {
         "top1_accuracy": report.top1_accuracy,
@@ -484,8 +493,20 @@ def save_report(path: str, report: EvalReport) -> None:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The sections of a run config.  Without a study section, `study`
+    reads as StudyOptions(), made when it is read, so a command that uses
+    only the task does not load gla.evaluation."""
+
     task: SyntheticTaskConfig | None = None
-    study: StudyOptions = StudyOptions()
+    study_section: StudyOptions | None = None
+
+    @property
+    def study(self) -> StudyOptions:
+        if self.study_section is not None:
+            return self.study_section
+        from .evaluation import StudyOptions
+
+        return StudyOptions()
 
 
 def _build_section(cls, value, name: str):
@@ -500,10 +521,21 @@ def _build_section(cls, value, name: str):
         raise ConfigError(f"bad section {name!r}: {name}.{exc}") from None
 
 
+def _section_type(name: str):
+    """The type of a config section, imported for a section the config has."""
+    if name == "task":
+        from .synthlab import SyntheticTaskConfig
+
+        return SyntheticTaskConfig
+    from .evaluation import StudyOptions
+
+    return StudyOptions
+
+
 def parse_run_config(payload) -> RunConfig:
-    sections = {"task": SyntheticTaskConfig, "study": StudyOptions}
-    payload = _json_object(payload, sections, ConfigError)
-    return RunConfig(**{name: _build_section(sections[name], value, name) for name, value in payload.items()})
+    payload = _json_object(payload, ("task", "study"), ConfigError)
+    sections = {name: _build_section(_section_type(name), value, name) for name, value in payload.items()}
+    return RunConfig(sections.get("task"), sections.get("study"))
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -511,6 +543,8 @@ def load_run_config(path: str) -> RunConfig:
 
 
 def save_study_csv(path: str, study: ConvergenceStudy) -> None:
+    from .evaluation import ConvergenceStudy
+
     check_type(study, ConvergenceStudy, "study")
     lines = ["estimator,n,mean_l1,std,n_ok"]
     for row in study.rows:

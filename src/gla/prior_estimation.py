@@ -29,6 +29,9 @@ from .numerics import (
     class_blocks, class_counts, finite_vector, row_blocks, softmax_matrix, softmax_row,
 )
 
+ESTIMATORS = ("m1", "m2", "naive")  # the one list of prior estimator names
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """K x K column-stochastic matrix of class-averaged predicted probabilities.

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -376,6 +377,17 @@ class TestLogitStreaming:
             warnings.simplefilter("error")
             text = kernel_text(values)
         assert text == "".join("%.17g\n" % x for x in values.tolist()).encode()
+
+    def test_kernel_counts_trailing_zeros(self):
+        # values whose 17 digits end in 0 to 16 zeros: the first 1 to 16
+        # digits of a zero-free integer, each an exact float, scaled by
+        # powers of two and ten, either sign; and 0.0 and -0.0
+        ints = np.array([float("1234567891234567"[:n]) for n in range(1, 17)])
+        scaled = np.concatenate([ints * 2.0**j for j in range(-6, 7)] + [ints * 10.0**j for j in range(-20, 5)])
+        values = np.concatenate([scaled, -scaled, [0.0, -0.0]])
+        assert kernel_text(values) == "".join("%.17g\n" % x for x in values.tolist()).encode()
+        digits = [("%.16e" % x).split("e")[0].lstrip("-").replace(".", "") for x in values.tolist()]
+        assert {len(d) - len(d.rstrip("0")) for d in digits} == set(range(18))
 
     def test_parse_fields_matches_float(self):
         # 1.2M fields: random decimals of 1 to 19 significant digits at every
@@ -1331,3 +1343,127 @@ class TestFloorPrecedence:
             assert "GLA_DEFAULT_FLOOR" in capsys.readouterr().err
         monkeypatch.delenv("GLA_DEFAULT_FLOOR")
         assert main(["evaluate", "--logits", logits, "--report", report]) == 0
+
+
+# ---------------------------------------------------------------------------
+# Start-up: `import gla` loads nothing, and each command loads only the
+# modules it runs.  The subprocesses run the gla the suite imported.
+# ---------------------------------------------------------------------------
+
+GLA_ROOT = str(Path(save_logits.__code__.co_filename).resolve().parent.parent)
+# a sitecustomize that writes, at exit, the gla modules the process loaded
+# and the number of objects gc.freeze() moved out of the collector's reach
+OBSERVER = """
+import atexit, gc, os, sys
+
+def _dump():
+    with open(os.environ["GLA_OBSERVED"], "w") as fh:
+        print(gc.get_freeze_count(), *sorted(m for m in sys.modules if m.startswith("gla")), file=fh)
+
+atexit.register(_dump)
+"""
+
+
+def fresh_python(args, cwd, observe=False):
+    """`python args` in a fresh process in `cwd`, with the observer when
+    `observe`."""
+    path = [GLA_ROOT, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, SOURCE_DATE_EPOCH="1700000000")
+    if observe:
+        site = Path(cwd) / "observer"
+        site.mkdir(exist_ok=True)
+        (site / "sitecustomize.py").write_text(OBSERVER)
+        path.insert(0, str(site))
+        env["GLA_OBSERVED"] = str(site / "observed.txt")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=str(cwd))
+
+
+def observed(cwd):
+    """The observer's record of the last observed process in `cwd`: its
+    freeze count and its set of gla modules."""
+    count, *modules = (Path(cwd) / "observer" / "observed.txt").read_text().split()
+    return int(count), set(modules)
+
+
+class TestStartup:
+    def test_package_namespace(self, tmp_path):
+        probe = (
+            "import sys\n"
+            "import gla\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('gla.')), sep=',')\n"
+            "print(gla.errors is sys.modules['gla.errors'], gla.numerics is sys.modules['gla.numerics'])\n"
+            "from gla import LogitTable\n"
+            "print(LogitTable is gla.numerics.LogitTable)\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('gla.')), sep=',')\n"
+        )
+        run = fresh_python(["-c", probe], tmp_path)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split("\n") == ["", "True True", "True", "gla.errors,gla.numerics", ""]
+
+        import gla
+
+        assert {"errors", "numerics", "prior_estimation", "ensemble", "evaluation", "synthlab"} <= set(gla.__all__)
+        assert not {"cli", "io_formats", "float_text"} & set(gla.__all__)
+        for name in gla.__all__:
+            value = getattr(gla, name)
+            if isinstance(value, type(gla)):
+                assert value is sys.modules[f"gla.{name}"]
+            else:
+                assert value.__module__.startswith("gla.") and getattr(sys.modules[value.__module__], name) is value
+        assert set(gla.__all__) <= set(dir(gla))
+        with pytest.raises(AttributeError, match="module 'gla' has no attribute 'no_such_name'"):
+            gla.no_such_name
+        with pytest.raises(ImportError):
+            exec("from gla import no_such_name", {})
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"task": {"k": 3, "dim": 3, "seed": 5}}))
+        steps = {
+            "simulate": ["--config", "cfg.json", "--out-zs", "zs.csv", "--out-ft", "ft.csv", "--n", "60"],
+            "estimate": ["--logits", "zs.csv", "--method", "m2", "--out", "p.json"],
+            "ensemble": ["--ft", "ft.csv", "--zs", "zs.csv", "--prior-p", "p.json", "--prior-s", "p.json",
+                         "--out", "c.csv"],
+            "evaluate": ["--logits", "c.csv", "--report", "r.json"],
+        }
+        loaded = {}
+        for command, argv in steps.items():
+            run = fresh_python(["-m", "gla.cli", command, *argv], tmp_path, observe=True)
+            assert run.returncode == 0 and run.stderr == "", run.stderr
+            frozen, loaded[command] = observed(tmp_path)
+            assert frozen > 0  # the command froze the import heap
+        assert {"gla.io_formats", "gla.synthlab"} <= loaded["simulate"]
+        assert not {"gla.evaluation", "gla.ensemble"} & loaded["simulate"]
+        for command in ("estimate", "ensemble"):
+            assert "gla.io_formats" in loaded[command]
+            assert not {"gla.synthlab", "gla.evaluation"} & loaded[command], command
+        assert "gla.ensemble" in loaded["ensemble"]
+        assert "gla.evaluation" in loaded["evaluate"]
+
+    def test_exit_codes_keep_their_output(self, tmp_path, capsys):
+        # the same stdout and stderr from `python -m gla.cli` as from main()
+        # in process, which freezes nothing
+        zs = make_fixture_csv(tmp_path, "zs.csv", [[2.0, 0.0], [0.0, 1.0], [1.0, 0.5]], [0, 1, 0])
+        prior = str(tmp_path / "p.json")
+        cases = [
+            (0, ["estimate", "--logits", zs, "--method", "m2", "--out", prior]),
+            (1, ["estimate", "--logits", str(tmp_path / "missing.csv"), "--method", "m2", "--out", prior]),
+            (2, ["ensemble", "--ft", zs, "--zs", zs, "--prior-p", prior, "--prior-s", prior, "--alpha", "1.5",
+                 "--out", str(tmp_path / "c.csv")]),
+        ]
+        for code, argv in cases:
+            run = fresh_python(["-m", "gla.cli", *argv], tmp_path)
+            frozen = gc.get_freeze_count()
+            assert main(argv) == code == run.returncode
+            assert gc.get_freeze_count() == frozen
+            assert (run.stdout, run.stderr) == capsys.readouterr()
+            assert (run.stdout == "") == (code != 0) and (run.stderr == "") == (code == 0)
+        assert run.stderr.endswith("gla ensemble: error: argument --alpha: alpha must lie in [0, 1], got 1.5\n")
+
+    def test_console_script_and_module_share_the_entry(self):
+        pyproject = Path(GLA_ROOT).parent / "pyproject.toml"
+        if not pyproject.exists():
+            pytest.skip("gla is not imported from a checkout")
+        script = re.search(r'^gla = "gla\.cli:(\w+)"$', pyproject.read_text(), re.M)
+        source = Path(main.__code__.co_filename).read_text()
+        assert script and f'if __name__ == "__main__":\n    sys.exit({script[1]}())\n' in source
