@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 domain error (bad data, estimator failure),
 2 usage or config error.
 
 Each command imports the modules it runs when it runs, so a command pays
-for no other command's modules; `entry`, the `gla` command, then freezes
-the collector's generations (gc.freeze), so neither the collections
-during the run nor the interpreter's exit walk the import heap again.
+for no other command's modules.  `entry`, the `gla` command, first freezes
+the collector's generations (gc.freeze), so neither the collections during
+the run nor the interpreter's exit walk the import heap again.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import gc
 import os
 import sys
-from importlib import import_module
 
 import numpy as np
 
@@ -115,7 +114,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    from .evaluation import run_convergence_study
+    from .evaluation import rule_errors, run_convergence_study
     from .io_formats import load_run_config, save_study_csv
 
     if len(set(args.estimator)) < len(args.estimator):
@@ -134,6 +133,9 @@ def _cmd_study(args) -> int:
     for row in study.rows:
         stats = f"mean_l1={row.mean_l1:.5f} std={row.std:.5f}"
         print(f"{row.estimator} N={row.n}: {stats} ok={row.n_ok}/{study.trials}")
+    # seeds that no trial of the study uses
+    for rule, err in rule_errors(cfg.task, cfg.study.base_seed + cfg.study.trials).items():
+        print(f"{rule}: top1_err={err:.5f}")
     return EXIT_OK
 
 
@@ -180,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Label-prior estimation, logit debiasing and ensembling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # `modules`: the gla modules a command's function imports, which main
-    # imports before it freezes the heap
 
     p = sub.add_parser("estimate", help="estimate the pre-training label prior")
     p.add_argument("--logits", required=True)
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--split", help="name of the split recorded in the prior file")
-    p.set_defaults(func=_cmd_estimate, modules=("io_formats",))
+    p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("ensemble", help="combine fine-tuned and zero-shot logits")
     p.add_argument("--ft", required=True)
@@ -201,20 +201,20 @@ def build_parser() -> argparse.ArgumentParser:
     mix.add_argument("--prior-t")
     mix.add_argument("--alpha", type=_checked(float, as_real, "alpha", 0.0, 1.0))
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ensemble, modules=("io_formats", "ensemble"))
+    p.set_defaults(func=_cmd_ensemble)
 
     p = sub.add_parser("evaluate", help="score a labelled logit file")
     p.add_argument("--logits", required=True)
     p.add_argument("--prior-p")
     p.add_argument("--balanced", action="store_true")
     p.add_argument("--report", required=True)
-    p.set_defaults(func=_cmd_evaluate, modules=("io_formats", "evaluation"))
+    p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("study", help="run an estimation-convergence study")
     p.add_argument("--config", required=True)
     p.add_argument("--estimator", required=True, nargs="+", choices=ESTIMATORS)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_study, modules=("io_formats", "evaluation"))
+    p.set_defaults(func=_cmd_study)
 
     p = sub.add_parser("simulate", help="sample a synthetic task into logit files")
     p.add_argument("--config", required=True)
@@ -225,16 +225,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--prior", choices=["balanced", "pretrain", "source"], default="balanced"
     )
-    p.set_defaults(func=_cmd_simulate, modules=("io_formats", "synthlab"))
+    p.set_defaults(func=_cmd_simulate)
 
     return parser
 
 
-def main(argv=None, *, freeze: bool = False) -> int:
+def main(argv=None) -> int:
     """Run the command in `argv` (sys.argv[1:] when None) and return its
-    exit code.  With `freeze`, the collector's generations are frozen once
-    the command's modules are imported, for a process that ends with the
-    command."""
+    exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -243,10 +241,6 @@ def main(argv=None, *, freeze: bool = False) -> int:
     try:
         if "GLA_DEFAULT_FLOOR" in os.environ:
             raise ConfigError(f"GLA_DEFAULT_FLOOR is set, but the log floor is fixed at {LOG_FLOOR:g}")
-        for name in args.modules:
-            import_module(f"{__package__}.{name}")
-        if freeze:
-            gc.freeze()
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -257,8 +251,10 @@ def main(argv=None, *, freeze: bool = False) -> int:
 
 
 def entry() -> int:
-    """The `gla` command: main() on sys.argv, with the heap frozen."""
-    return main(freeze=True)
+    """The `gla` command: main() on sys.argv, in a process that ends with
+    it, so the heap is frozen first."""
+    gc.freeze()
+    return main()
 
 
 if __name__ == "__main__":

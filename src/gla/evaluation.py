@@ -1,6 +1,7 @@
 """Risk metrics and study drivers: top-1 error, balanced error,
-head/medium/tail breakdown keyed on an estimated log prior, and the
-estimation-convergence study over shot counts."""
+head/medium/tail breakdown keyed on an estimated log prior, the
+estimation-convergence study over shot counts, and the lab's comparison of
+decision rules against the Bayes floor."""
 
 from __future__ import annotations
 
@@ -9,12 +10,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ensemble import AdjustmentSpec, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
 from .numerics import (
-    LabelledLogits, LogitTable, argmax_rows, as_int, check_type, class_counts, finite_vector, l1_distance,
+    LabelledLogits, LogitTable, ProbabilitySimplex, argmax_rows, as_int, check_type, class_counts, finite_vector,
+    l1_distance, log_prior,
 )
 from .prior_estimation import ESTIMATORS, estimate_prior_m1, estimate_prior_m2, estimate_prior_naive
-from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
+from .synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_shots, zero_shot_shots
+
+RULE_ROWS = 10_000  # rule_errors scores each rule on ceil(RULE_ROWS / K) rows per class
+RULES = (
+    "zero-shot",
+    "fine-tuned",
+    "zero-shot-debiased",
+    "fine-tuned-adjusted",
+    "naive-ensemble",
+    "gla",
+    "gla-uniform-pi_p",
+    "bayes-floor",
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +210,40 @@ def run_convergence_study(
         rows=rows,
         metadata={"estimators": names, "base_seed": opts.base_seed},
     )
+
+
+def rule_errors(task_cfg: SyntheticTaskConfig, seed: int) -> dict:
+    """Top-1 error of each rule in RULES, in that order, on the task's
+    balanced target: the zero-shot and fine-tuned views, zs - pi_p,
+    ft - pi_s (logit adjustment), the naive ensemble ft + zs, GLA
+    ft + zs - pi_s - pi_p with the true pi_p and with a uniform pi_p, and
+    the Bayes floor.
+
+    The seven rules are scored on one balanced sample_shots batch of
+    ceil(RULE_ROWS / K) rows per class with `seed`, each rule's table
+    dropped before the next is made; the floor is bayes_risk under the
+    balanced prior with as many draws, on seed + 1.
+    """
+    check_type(task_cfg, SyntheticTaskConfig, "task_cfg")
+    seed = as_int(seed, "seed", 0)
+    task = make_task(task_cfg)
+    k = task_cfg.k
+    batch = sample_shots(task, -(-RULE_ROWS // k), seed)
+    ft, zs = batch.ft_logits, batch.zs_logits
+    pi_s, pi_p = log_prior(task_cfg.source_prior), log_prior(task_cfg.pretrain_prior)
+    balanced = ProbabilitySimplex.uniform(k)
+    rules = (
+        lambda: zs,
+        lambda: ft,
+        lambda: debias_zero_shot(zs, pi_p),
+        lambda: logit_adjust(ft, pi_s),
+        lambda: naive_ensemble(ft, zs),
+        lambda: gla_combine(ft, zs, AdjustmentSpec(pi_s=pi_s, pi_p=pi_p)),
+        lambda: gla_combine(ft, zs, AdjustmentSpec(pi_s=pi_s, pi_p=log_prior(balanced))),
+    )
+    errors = [top1_error(rule(), batch.labels) for rule in rules]
+    errors.append(bayes_risk(task, balanced, batch.labels.size, seed + 1))
+    return dict(zip(RULES, errors))
 
 
 def loglog_slope(study: ConvergenceStudy) -> float:

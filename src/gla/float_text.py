@@ -122,15 +122,13 @@ _PREFIX = np.array(
 )
 
 
-def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace | None = None) -> None:
+def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace) -> None:
     """Write _FLOAT_FMT % v of each finite float64 v in `values` into its
     row of `out`, an (N, 4) uint64 array: the text's bytes in order, with
     NUL bytes between and after them, and byte 31 left NUL.  The
     block-sized arrays (eight of 8-byte words and two of flags) are
-    `work`'s, or a new workspace's."""
+    `work`'s."""
     n = values.size
-    if work is None:
-        work = Workspace()
     a, f, hi, lo, t, p = work("format floats", 6, n)
     e, s = work("format ints", 2, n, np.int64)
     mask, other = work("format flags", 2, n, bool)
@@ -366,7 +364,7 @@ def _quotients(whole, fraction, q, scratch, flags):
     return decided
 
 
-def parse_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, work: Workspace | None = None):
+def parse_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, work: Workspace):
     """Read the decimal fields data[starts[i]:ends[i]] of a uint8 array:
     (values, taken, integral).  A field is taken when it is an optional "-"
     and 1 to 22 ASCII digits with at most one "." between two of them, 24
@@ -378,7 +376,7 @@ def parse_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, work: W
     below 2**53, which int() reads as the same number.  Each field needs 24
     bytes of `data` before its end and 8 from it (an empty field's start
     is its end).  The three arrays, and the block-sized scratch, are
-    `work`'s (or a new workspace's), so they hold until its next call.
+    `work`'s, so they hold until its next call.
 
     The window of 24 bytes that ends with each field is read as three
     little-endian uint64 words.  The sign and the bytes before the field
@@ -386,8 +384,6 @@ def parse_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray, work: W
     keeps, is cut out with a shift; every byte left must be a digit; and
     SWAR multiplies turn each word's 8 digits into an integer.  Then
     _quotients rounds N / 10**f."""
-    if work is None:
-        work = Workspace()
     ends = np.asarray(ends, np.int64)
     n = ends.size
     # rows 3 to 11 are dead once the digits are read: _quotients' scratch

@@ -7,17 +7,22 @@ import pytest
 import gla.evaluation
 import gla.prior_estimation
 from gla.errors import ConvergenceWarning, DimensionError, InvalidInput, MissingClassError, OptimizationError
+from gla.ensemble import AdjustmentSpec, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from gla.evaluation import (
+    RULE_ROWS,
+    RULES,
+    StudyOptions,
     balanced_error,
     breakdown_groups,
     breakdown_report,
     loglog_slope,
     per_class_accuracy,
+    rule_errors,
     run_convergence_study,
     top1_error,
 )
-from gla.numerics import LogitTable, ProbabilitySimplex, l1_distance
-from gla.synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
+from gla.numerics import LogitTable, ProbabilitySimplex, l1_distance, log_prior
+from gla.synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_shots, zero_shot_shots
 
 
 def one_hot_logits(labels, k):
@@ -343,3 +348,52 @@ class TestConvergenceStudy:
         errs = [r.mean_l1 for r in one.rows]
         assert loglog_slope(one) == float(np.polyfit(np.log(ns), np.log(errs), 1)[0])
         assert one.rows == both.rows[:3]
+
+
+class TestRuleErrors:
+    def test_rows_equal_direct_computation(self):
+        cfg = SyntheticTaskConfig(
+            k=3, dim=4, pretrain_prior=ProbabilitySimplex([0.6, 0.3, 0.1]),
+            source_prior=ProbabilitySimplex([0.1, 0.2, 0.7]), seed=8,
+        )
+        task = make_task(cfg)
+        batch = sample_shots(task, math.ceil(RULE_ROWS / 3), 7)
+        assert batch.labels.size == 3 * 3334
+        ft, zs = batch.ft_logits, batch.zs_logits
+        pi_s, pi_p, uniform = log_prior(cfg.source_prior), log_prior(cfg.pretrain_prior), np.log(np.full(3, 1 / 3))
+        tables = [
+            zs, ft, debias_zero_shot(zs, pi_p), logit_adjust(ft, pi_s), naive_ensemble(ft, zs),
+            gla_combine(ft, zs, AdjustmentSpec(pi_s=pi_s, pi_p=pi_p)),
+            gla_combine(ft, zs, AdjustmentSpec(pi_s=pi_s, pi_p=uniform)),
+        ]
+        expected = [top1_error(table, batch.labels) for table in tables]
+        expected.append(bayes_risk(task, ProbabilitySimplex.uniform(3), 3 * 3334, seed=8))
+        errors = rule_errors(cfg, 7)
+        assert list(errors) == list(RULES)
+        assert list(errors.values()) == expected
+
+    def test_gla_meets_the_bayes_floor_on_the_quick_start_task(self):
+        # the README's CLI quick-start task, at the seed `gla study` uses
+        cfg = SyntheticTaskConfig(
+            k=3, dim=3, pretrain_prior=ProbabilitySimplex([0.5, 0.3, 0.2]),
+            source_prior=ProbabilitySimplex([0.2, 0.3, 0.5]), seed=11,
+        )
+        opts = StudyOptions()
+        errors = rule_errors(cfg, opts.base_seed + opts.trials)
+        gla, floor, n = errors["gla"], errors["bayes-floor"], 3 * math.ceil(RULE_ROWS / 3)
+        se = math.sqrt((gla * (1 - gla) + floor * (1 - floor)) / n)
+        assert abs(gla - floor) < 3 * se
+
+    def test_each_rule_table_dropped_before_the_next(self):
+        k = 100
+        table_bytes = k * math.ceil(RULE_ROWS / k) * k * 8
+        cfg = SyntheticTaskConfig(k=k, dim=8, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rule_errors(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # the batch's two tables and one rule's
+        assert peak < 3.3 * table_bytes

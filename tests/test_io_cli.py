@@ -21,8 +21,8 @@ from hypothesis.extra.numpy import arrays
 from gla import io_formats, prior_estimation
 from gla.cli import main
 from gla.errors import ConfigError, InvalidInput, ParseError
-from gla.evaluation import EvalReport
-from gla.float_text import format_fields, parse_fields
+from gla.evaluation import EvalReport, rule_errors
+from gla.float_text import Workspace, format_fields, parse_fields
 from gla.io_formats import (
     CSV_READ_BLOCK_BYTES,
     CSV_WRITE_BLOCK_FIELDS,
@@ -208,7 +208,7 @@ TARGETED = _targeted_floats()
 def kernel_text(values):
     """format_fields' text of `values`, one per line."""
     fields = np.empty((values.size, 4), np.uint64)
-    format_fields(values, fields)
+    format_fields(values, fields, Workspace())
     fields[:, 3] |= np.uint64(ord("\n") << 56)
     return fields.tobytes().translate(None, b"\0")
 
@@ -222,7 +222,7 @@ def parse_texts(texts):
         lengths = np.array([len(t) for t in chunk])
         ends = 24 + np.cumsum(lengths + 1) - 1
         data = np.frombuffer(b"\0" * 24 + b",".join(chunk) + b"," + b"\0" * 8, np.uint8)
-        v, t, _ = parse_fields(data, ends - lengths, ends)
+        v, t, _ = parse_fields(data, ends - lengths, ends, Workspace())
         values.append(v)
         taken.append(t)
     return np.concatenate(values), np.concatenate(taken)
@@ -1249,24 +1249,31 @@ class TestCliStudyAndSimulate:
         out = str(tmp_path / "study.csv")
         assert main(["study", "--config", cfg, "--estimator", "m1", "--out", out]) == 0
         rows = capsys.readouterr().out.splitlines()
+        rows, rules = rows[:2], rows[2:]
         assert [row.split()[:2] for row in rows] == [["m1", "N=25:"], ["m1", "N=100:"]]
         assert all(row.endswith(" ok=3/3") for row in rows)
+        # then the rule comparison, on seeds that no trial uses
+        errors = rule_errors(load_run_config(cfg).task, 5 + 3)  # base_seed + trials
+        assert rules == [f"{rule}: top1_err={err:.5f}" for rule, err in errors.items()]
         csv = Path(out).read_bytes()
         # an unconverged Method 1 fit is not a good trial; the CSV keeps its columns
         monkeypatch.setattr(prior_estimation, "M1_MAX_ITERS", 1)
         assert main(["study", "--config", cfg, "--estimator", "m1", "--out", out]) == 0
         captured = capsys.readouterr()
-        assert [row.split()[-1] for row in captured.out.splitlines()] == ["ok=0/3", "ok=0/3"]
+        assert [row.split()[-1] for row in captured.out.splitlines()[:2]] == ["ok=0/3", "ok=0/3"]
+        assert captured.out.splitlines()[2:] == rules
         assert captured.err == ""
         lines = Path(out).read_text().splitlines()
         assert lines[0] == csv.decode().splitlines()[0] and lines[1:] == ["m1,25,nan,nan,0", "m1,100,nan,nan,0"]
 
-    def test_study_deterministic(self, tmp_path):
+    def test_study_deterministic(self, tmp_path, capsys):
         cfg = self._config(tmp_path)
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         main(["study", "--config", cfg, "--estimator", "m2", "--out", a])
+        out_a = capsys.readouterr().out
         main(["study", "--config", cfg, "--estimator", "m2", "--out", b])
         assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert capsys.readouterr().out == out_a
 
     def test_study_config_error_exit_2(self, tmp_path):
         cfg = write(tmp_path / "cfg.json", json.dumps({"study": {"shots": [10]}}))

@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from gla.ensemble import AdjustmentSpec, alpha_mix, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from gla.errors import DimensionError, InvalidInput
 from gla.evaluation import (
-    balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, run_convergence_study, top1_error,
+    balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, rule_errors, run_convergence_study,
+    top1_error,
 )
 from gla.io_formats import PriorDocument, save_logits, save_prior, save_report, save_study_csv
 from gla.prior_estimation import (
@@ -362,6 +363,7 @@ TYPED_ARGUMENTS = {
     "run_convergence_study.task_cfg": (
         lambda v: run_convergence_study(v, "m2", [10], 1), "task_cfg", "SyntheticTaskConfig", None,
     ),
+    "rule_errors.task_cfg": (lambda v: rule_errors(v, 0), "task_cfg", "SyntheticTaskConfig", {"k": 2}),
     # the check comes before any write: a path in a missing directory is never opened
     "save_logits.table": (
         lambda v: save_logits("no-such-dir/t.csv", v), "table", "LogitTable", np.zeros((2, 2)),

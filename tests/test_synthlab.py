@@ -8,7 +8,7 @@ import pytest
 
 from gla.ensemble import AdjustmentSpec, alpha_mix
 from gla.errors import InvalidInput
-from gla.evaluation import StudyOptions
+from gla.evaluation import StudyOptions, rule_errors
 from gla.numerics import LogitTable, ProbabilitySimplex, log_prior, softmax_matrix
 from gla.prior_estimation import m2_error_bound
 from gla.synthlab import (
@@ -83,6 +83,7 @@ BOUNDED_INTEGERS = {
     "study.shots": (lambda v: StudyOptions(shots=[10, v]), "shots[1]", 1),
     "study.trials": (lambda v: StudyOptions(trials=v), "trials", 1),
     "study.base_seed": (lambda v: StudyOptions(base_seed=v), "base_seed", 0),
+    "rule_errors.seed": (lambda v: rule_errors(SyntheticTaskConfig(k=2), v), "seed", 0),
     "m2_error_bound.k": (lambda v: m2_error_bound(v, 10, 0.05), "k", 2),
     "m2_error_bound.n_per_class": (lambda v: m2_error_bound(3, v, 0.05), "n_per_class", 1),
     "uniform.k": (ProbabilitySimplex.uniform, "k", 1),
