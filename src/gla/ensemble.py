@@ -98,9 +98,12 @@ def naive_ensemble(ft: LogitTable, zs: LogitTable) -> LogitTable:
 
 def alpha_mix(ft: LogitTable, zs: LogitTable, adj: AdjustmentSpec, alpha: float) -> LogitTable:
     """Convex mix of the two debiased scorers for the ablation sweep:
-    (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s), with alpha in [0, 1]."""
+    (1 - alpha) * (zs - pi_p) + alpha * (ft - pi_s), with alpha in [0, 1].
+    The mix has no target-prior term, so an `adj` with a pi_t is refused."""
     as_real(alpha, "alpha", 0.0, 1.0)
     _check_combiner(ft, zs, adj)
+    if adj.pi_t is not None:
+        raise InvalidInput("alpha_mix takes no pi_t: the mix has no target-prior term")
     out = zs.scores - adj.pi_p
     out *= 1.0 - alpha
     # the ft part one row block at a time, so no second table is held

@@ -7,17 +7,21 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ensemble import AdjustmentSpec, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from .errors import ConvergenceWarning, DimensionError, GlaError, InvalidInput
 from .numerics import (
     LabelledLogits, LogitTable, ProbabilitySimplex, argmax_rows, as_int, check_type, class_counts, finite_vector,
     l1_distance, log_prior,
 )
 from .prior_estimation import ESTIMATORS, estimate_prior_m1, estimate_prior_m2, estimate_prior_naive
-from .synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_shots, zero_shot_shots
+
+# The study drivers import gla.synthlab and gla.ensemble when they run, so
+# `gla evaluate`, which uses only the metrics, loads neither.
+if TYPE_CHECKING:
+    from .synthlab import SyntheticTaskConfig
 
 RULE_ROWS = 10_000  # rule_errors scores each rule on ceil(RULE_ROWS / K) rows per class
 RULES = (
@@ -172,6 +176,8 @@ def run_convergence_study(
     Estimator failures (a GlaError, or Method 1's ConvergenceWarning) are
     recorded as missing trials, and any other exception propagates.
     """
+    from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
+
     check_type(task_cfg, SyntheticTaskConfig, "task_cfg")
     opts = StudyOptions(shots, trials, base_seed)
     names = [estimators] if isinstance(estimators, str) else list(estimators if np.iterable(estimators) else ())
@@ -224,6 +230,9 @@ def rule_errors(task_cfg: SyntheticTaskConfig, seed: int) -> dict:
     dropped before the next is made; the floor is bayes_risk under the
     balanced prior with as many draws, on seed + 1.
     """
+    from .ensemble import AdjustmentSpec, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
+    from .synthlab import SyntheticTaskConfig, bayes_risk, make_task, sample_shots
+
     check_type(task_cfg, SyntheticTaskConfig, "task_cfg")
     seed = as_int(seed, "seed", 0)
     task = make_task(task_cfg)

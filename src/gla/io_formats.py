@@ -8,7 +8,6 @@ JSON is strict: no NaN or Infinity.
 from __future__ import annotations
 
 import array
-import itertools
 import json
 import math
 import os
@@ -154,55 +153,39 @@ def _line_blocks(fh):
                 buffer = buffer + bytes(size - len(buffer))  # a new one: the last block's data may be in use
 
 
-def _odd_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _odd_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
     """The values of the fields data[starts[i]:ends[i]] that parse_fields
-    did not take, read by numpy's own converter in one loadtxt call, a line
-    each, up to the first that may be a fault: an empty field (loadtxt
-    would skip its line), a carriage return (a line end in text), bytes
-    that are not UTF-8, or a number loadtxt rejects."""
-    texts = []
-    for start, end in zip(starts.tolist(), ends.tolist()):
-        field = data[start:end].tobytes()
-        if not field or b"\r" in field:
-            break
-        try:
-            texts.append(field.decode("utf-8") + "\n")
-        except UnicodeDecodeError:
-            break
-    while texts:
-        try:
-            return np.loadtxt(texts, delimiter=",", comments=None, ndmin=1)
-        except ValueError as exc:
-            where = re.search(r"at row (\d+)", str(exc))
-            del texts[int(where[1]) if where else 0 :]
-    return np.empty(0)
+    did not take, read by numpy's own converter in one loadtxt call; None
+    when one may be a fault: an empty field (loadtxt would skip its line),
+    bytes that are not UTF-8, or a number loadtxt rejects."""
+    fields = [data[start:end].tobytes() for start, end in zip(starts.tolist(), ends.tolist())]
+    if not all(fields):
+        return None
+    try:
+        return np.loadtxt([field.decode("utf-8") + "\n" for field in fields], delimiter=",", comments=None, ndmin=1)
+    except ValueError:  # UnicodeDecodeError too
+        return None
 
 
-def _parse_block(data: np.ndarray, begin: int, stop: int, k: int, work: Workspace) -> tuple[np.ndarray, bool]:
+def _parse_block(data: np.ndarray, begin: int, stop: int, k: int, work: Workspace) -> np.ndarray | None:
     """The rows of the lines data[begin:stop], each its label (NaN when
-    empty) and K scores, up to the first line that may be a fault: one
-    without K commas, a label that is not plain digits or nothing, or a
-    score _odd_fields stops at.  Returns them, arrays of `work`, and whether
-    a line was left."""
+    empty) and K scores, an array of `work`; None unless every line is in
+    the form the blocks read: no byte below "-" but its K commas and the
+    newline, a label of plain digits or nothing, and scores that
+    parse_fields or _odd_fields reads."""
     text = data[begin:stop]
     width = k + 1
     # "," and the newline, and any other byte below "-", which no number
-    # parse_fields takes has: the usual block has only K + 1 a line
+    # parse_fields takes has: a block that is read has only K + 1 a line
     seps = np.flatnonzero(np.less(text, ord("-"), out=work("block bytes", 1, text.size, bool)[0]))
-    lines = rows = seps.size // width
+    rows = seps.size // width
     row_ends = np.full(width, ord(","), np.uint8)
     row_ends[-1] = ord("\n")
     marks = work("separators", rows, width, np.uint8)
     if seps.size % width or not np.equal(
         np.take(text, seps.reshape(marks.shape), out=marks, mode="clip"), row_ends, out=marks
     ).all():
-        seps = np.flatnonzero((text == ord(",")) | (text == ord("\n")))
-        line_ends = np.flatnonzero(text[seps] == ord("\n"))
-        lines = rows = line_ends.size
-        ragged = np.flatnonzero(np.diff(line_ends, prepend=-1) != width)
-        if ragged.size:
-            rows = int(ragged[0])
-        seps = seps[: rows * width]
+        return None
     seps += begin
     (starts,) = work("starts", 1, seps.size, np.int64)
     starts[:1] = begin
@@ -210,28 +193,27 @@ def _parse_block(data: np.ndarray, begin: int, stop: int, k: int, work: Workspac
     values, taken, integral = parse_fields(data, starts, seps, work)
     values, taken = values.reshape(rows, width), taken.reshape(rows, width)
     empty = starts[::width] == seps[::width]
-    label_ok = integral[::width] | empty
-    if not label_ok.all():
-        rows = int(np.argmin(label_ok))
+    if not (integral[::width] | empty).all():
+        return None
     values[:, 0][empty] = math.nan
     taken[:, 0] = True  # the labels are checked above
-    if not taken[:rows].all():
-        odd = np.flatnonzero(~taken[:rows])
+    if not taken.all():
+        odd = np.flatnonzero(~taken)
         got = _odd_fields(data, starts[odd], seps[odd])
-        if got.size < odd.size:
-            rows = int(odd[got.size] // width)
-        values.reshape(-1)[odd[: got.size]] = got
-    return values[:rows], rows < lines
+        if got is None:
+            return None
+        values.reshape(-1)[odd] = got
+    return values
 
 
-def _checked_rows(lines, k: int, labels: array.array, first: int):
-    """The score fields of each data line of an open logit CSV, from line
-    `first` on.  Here a line is split as it always has been: it must hold K
-    commas (a blank line too: loadtxt alone would skip it), and its label,
-    an integer or empty (NaN), goes to `labels`.  loadtxt pulls the lines
-    one at a time, so the first fault in file order is the one raised."""
-    lineno = first - 1
-    for lineno, row in enumerate(lines, start=first):
+def _checked_rows(lines, k: int, labels: array.array):
+    """The score fields of each data line of an open logit CSV.  Here a
+    line is split as it always has been: it must hold K commas (a blank
+    line too: loadtxt alone would skip it), and its label, an integer or
+    empty (NaN), goes to `labels`.  loadtxt pulls the lines one at a time,
+    so the first fault in file order is the one raised."""
+    lineno = 1
+    for lineno, row in enumerate(lines, start=2):
         if row.count(",") != k:
             raise ParseError(f"expected {k + 1} fields, got {row.count(',') + 1}", line=lineno)
         label, scores = row.split(",", 1)
@@ -244,38 +226,33 @@ def _checked_rows(lines, k: int, labels: array.array, first: int):
         raise ParseError("no data rows", line=2)
 
 
-def _line_rows(path: str, first: int) -> tuple[np.ndarray, np.ndarray]:
-    """The scores and labels of lines `first` on, read as text a line at a
-    time through numpy.loadtxt; a fault in the header or in those lines
-    raises its ParseError.  The text is decoded from the start of the file,
-    so a byte that is not UTF-8 raises just where it did when every line
-    went this way."""
+def _line_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """The scores and labels of a logit CSV, read as text a line at a time
+    through numpy.loadtxt; a fault in any line raises its ParseError."""
     labels = array.array("d")
     with open(path, encoding="utf-8") as fh:
         header = fh.readline()
         k = header.count(",")
         if k < 2 or header.rstrip("\n") != _header(k):
             raise ParseError("header must be 'label,c0,...,c{K-1}'", line=1)
-        lines = itertools.islice(fh, first - 2, None)
         try:
-            scores = np.loadtxt(_checked_rows(lines, k, labels, first), delimiter=",", comments=None, ndmin=2)
+            scores = np.loadtxt(_checked_rows(fh, k, labels), delimiter=",", comments=None, ndmin=2)
         except UnicodeDecodeError:  # a ValueError too: a bad byte read mid-stream
             raise
         except ValueError as exc:
             where = re.search(r"at row (\d+)", str(exc))
             if where is None:
                 raise ParseError(f"bad field: {exc}") from None
-            raise ParseError("bad numeric field", line=int(where[1]) + first) from None
+            raise ParseError("bad numeric field", line=int(where[1]) + 2) from None
     return scores, np.frombuffer(labels)
 
 
-def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """The scores and labels of a logit CSV (NaN for an empty label): in
-    blocks through _parse_block, into a table sized from the first block
-    and cut to size at the end, then from any line the blocks leave on
-    through _line_rows.  A header other than the exact bytes, or no data
-    line, sends the whole file there."""
-    n, left = 0, True
+def _block_rows(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The scores and labels of a logit CSV (NaN for an empty label), read
+    in blocks through _parse_block into a table sized from the first block
+    and cut to size at the end; None when a block declines, the header is
+    not the exact bytes, or there is no data line."""
+    n = 0
     k = scores = labels = None
     work = Workspace()
     with open(path, "rb", buffering=0) as fh:
@@ -287,10 +264,12 @@ def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
                 header = data[_BACK : begin - 1].tobytes()
                 k = header.count(b",")
                 if k < 2 or header != _header(k).encode():
-                    break
+                    return None
                 if begin == stop:
                     continue
-            block, left = _parse_block(data, begin, stop, k, work)
+            block = _parse_block(data, begin, stop, k, work)
+            if block is None:
+                return None
             # resize() reallocates in place: no view of the table is alive
             if scores is None:
                 capacity = int(len(block) / (stop - begin) * size * 1.05) + 16
@@ -302,17 +281,8 @@ def _read_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
             scores[n : n + len(block)] = block[:, 1:]
             labels[n : n + len(block)] = block[:, 0]
             n += len(block)
-            if left:
-                break
-    if left or not n:
-        rest, rest_labels = _line_rows(path, n + 2)
-        if scores is None:
-            return rest, rest_labels
-        scores.resize((n + len(rest), k), refcheck=False)
-        labels.resize(n + len(rest), refcheck=False)
-        scores[n:] = rest
-        labels[n:] = rest_labels
-        n += len(rest)
+    if not n:
+        return None
     scores.resize((n, k), refcheck=False)
     labels.resize(n, refcheck=False)
     return scores, labels
@@ -323,7 +293,8 @@ def load_logits(path: str) -> LabelledLogits | LogitTable:
     empty-label row degrades the whole file to an unlabelled LogitTable
     (with a warning)."""
     try:
-        scores, labels = _read_rows(path)
+        # a file the blocks decline is read whole, after their table is freed
+        scores, labels = _block_rows(path) or _line_rows(path)
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc, ParseError) from None
     try:

@@ -190,6 +190,10 @@ def test_combine_and_mix_equal_written_formulas():
                 expected = expected + pi_t
             assert np.array_equal(gla_combine(LogitTable(ft), LogitTable(zs), adj).scores, expected)
             for alpha in (0.0, 0.3, 0.5, 1.0):
+                if adj.pi_t is not None:
+                    with pytest.raises(InvalidInput, match="pi_t"):
+                        alpha_mix(LogitTable(ft), LogitTable(zs), adj, alpha)
+                    continue
                 mixed = alpha_mix(LogitTable(ft), LogitTable(zs), adj, alpha).scores
                 assert np.array_equal(mixed, (1.0 - alpha) * (zs - pi_p) + alpha * (ft - pi_s))
 

@@ -464,8 +464,12 @@ class TestLogitStreaming:
         exponent_form = sum("e" in "%.17g" % x for x in scores.ravel().tolist())
         assert exponent_form
         odd = count_odd_fields(monkeypatch)
+        line_reads = []
+        line_rows = io_formats._line_rows
+        monkeypatch.setattr(io_formats, "_line_rows", lambda path: line_reads.append(path) or line_rows(path))
         check_round_trip(tmp_path / "t.csv", scores, rng.integers(0, k, len(scores)))
         assert sum(odd) == exponent_form
+        assert line_reads == [], "the blocks declined a file gla wrote"
 
     def test_fresh_process_page_faults(self, tmp_path):
         # one workspace per save or load: a first 100k x 10 load in a
@@ -518,12 +522,19 @@ class TestLogitStreaming:
         assert load_peak < 3 * table.scores.nbytes
         assert np.array_equal(loaded.logits.scores, table.scores)
 
-    def test_load_holds_one_table(self, tmp_path):
-        # the labels are split off each line, so loadtxt returns the N x K table itself
+    @pytest.mark.parametrize("declined", [False, True], ids=["blocks", "declined"])
+    def test_load_holds_one_table(self, tmp_path, declined):
+        # the labels are split off each line, so loadtxt returns the N x K
+        # table itself; a "+" on the last label sends the whole file to it,
+        # once the blocks' table is freed
         n, k = 20_000, 100
         table = LogitTable(np.random.default_rng(1).normal(size=(n, k)))
         path = str(tmp_path / "t.csv")
         save_logits(path, table, np.arange(n) % k)
+        if declined:
+            text = Path(path).read_bytes()
+            last = text.rindex(b"\n", 0, -1) + 1
+            Path(path).write_bytes(text[:last] + b"+" + text[last:])
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -1446,6 +1457,7 @@ class TestStartup:
             assert not {"gla.synthlab", "gla.evaluation"} & loaded[command], command
         assert "gla.ensemble" in loaded["ensemble"]
         assert "gla.evaluation" in loaded["evaluate"]
+        assert not {"gla.synthlab", "gla.ensemble"} & loaded["evaluate"]
 
     def test_exit_codes_keep_their_output(self, tmp_path, capsys):
         # the same stdout and stderr from `python -m gla.cli` as from main()
