@@ -148,12 +148,12 @@ def breakdown_report(logits: LogitTable, labels, pi_p, metadata: dict | None = N
     )
 
 
-def _estimate(estimator: str, data: LabelledLogits):
+def _estimate(estimator: str, data: LabelledLogits, start: ProbabilitySimplex | None):
     if estimator == "naive":
         return estimate_prior_naive(data.logits)
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)  # an unconverged fit fails its trial
-        return estimate_prior_m1(data) if estimator == "m1" else estimate_prior_m2(data)
+        return estimate_prior_m1(data, start=start) if estimator == "m1" else estimate_prior_m2(data)
 
 
 def run_convergence_study(
@@ -172,9 +172,14 @@ def run_convergence_study(
     once, at the largest shot count, and every estimator reads the same
     draws.  Every smaller count N takes the first N rows of each class
     block of that draw, which is zero_shot_shots(task, N, seed) bit for
-    bit.  Rows are grouped by estimator in the order given, N ascending.
-    Estimator failures (a GlaError, or Method 1's ConvergenceWarning) are
-    recorded as missing trials, and any other exception propagates.
+    bit.  Method 1 starts each trial's fit at the trial's last successful
+    Method 1 estimate at a smaller count (the uniform prior at first), so
+    its rows above the smallest count can differ from fits started at the
+    uniform prior by what its gradient tolerance allows (see
+    estimate_prior_m1).  Rows are grouped by estimator in the order given,
+    N ascending.  Estimator failures (a GlaError, or Method 1's
+    ConvergenceWarning) are recorded as missing trials, and any other
+    exception propagates.
     """
     from .synthlab import SyntheticTaskConfig, make_task, zero_shot_shots
 
@@ -195,14 +200,17 @@ def run_convergence_study(
     for trial in range(opts.trials):
         full = zero_shot_shots(task, n_max, seed=opts.base_seed + trial)
         blocks = full.logits.scores.reshape(k, n_max, k)
+        start = None  # the trial's last Method 1 estimate
         for i, n in enumerate(opts.shots):
             labels = np.repeat(np.arange(k, dtype=np.int64), n)
             data = LabelledLogits(LogitTable(blocks[:, :n].reshape(k * n, k)), labels)
             for name in names:
                 try:
-                    est = _estimate(name, data)
+                    est = _estimate(name, data, start)
                 except (GlaError, ConvergenceWarning):
                     continue
+                if name == "m1":
+                    start = est
                 errors[name][i].append(l1_distance(est, truth))
     rows = []
     for name, cells in errors.items():

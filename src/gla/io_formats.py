@@ -167,25 +167,38 @@ def _odd_fields(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.nd
         return None
 
 
+def _line_separators(text: np.ndarray, seps: np.ndarray, width: int, work: Workspace) -> bool:
+    """Whether the bytes of `text` at `seps` are width - 1 commas and a
+    newline, line after line."""
+    if seps.size % width:
+        return False
+    row_ends = np.full(width, ord(","), np.uint8)
+    row_ends[-1] = ord("\n")
+    marks = work("separators", seps.size // width, width, np.uint8)
+    return bool(np.equal(np.take(text, seps.reshape(marks.shape), out=marks, mode="clip"), row_ends, out=marks).all())
+
+
 def _parse_block(data: np.ndarray, begin: int, stop: int, k: int, work: Workspace) -> np.ndarray | None:
     """The rows of the lines data[begin:stop], each its label (NaN when
     empty) and K scores, an array of `work`; None unless every line is in
-    the form the blocks read: no byte below "-" but its K commas and the
-    newline, a label of plain digits or nothing, and scores that
-    parse_fields or _odd_fields reads."""
+    the form the blocks read: no byte below "-" but its K commas, the
+    newline and a "+" within a field, a label of plain digits or nothing,
+    and scores that parse_fields or _odd_fields reads."""
     text = data[begin:stop]
     width = k + 1
     # "," and the newline, and any other byte below "-", which no number
     # parse_fields takes has: a block that is read has only K + 1 a line
     seps = np.flatnonzero(np.less(text, ord("-"), out=work("block bytes", 1, text.size, bool)[0]))
+    if not _line_separators(text, seps, width, work):
+        # a "+" then stays in its field, for _odd_fields: the "e+NN" that
+        # save_logits writes for |x| >= 1e17 keeps the block
+        kept = np.not_equal(text[seps], ord("+"))
+        if kept.all():
+            return None
+        seps = seps[kept]
+        if not _line_separators(text, seps, width, work):
+            return None
     rows = seps.size // width
-    row_ends = np.full(width, ord(","), np.uint8)
-    row_ends[-1] = ord("\n")
-    marks = work("separators", rows, width, np.uint8)
-    if seps.size % width or not np.equal(
-        np.take(text, seps.reshape(marks.shape), out=marks, mode="clip"), row_ends, out=marks
-    ).all():
-        return None
     seps += begin
     (starts,) = work("starts", 1, seps.size, np.int64)
     starts[:1] = begin

@@ -243,8 +243,10 @@ class TestConvergenceStudy:
     @pytest.mark.parametrize("fail_first", [None, "m1", "m2", "naive"])
     def test_rows_equal_per_cell_reference(self, monkeypatch, fail_first):
         """One draw per trial, read by all three estimators, gives each
-        estimator the rows of a fresh draw per cell, exactly; a GlaError on
-        one estimator's first call drops that estimator's trial alone."""
+        estimator the rows of a fresh draw per cell, exactly, Method 1
+        started at the trial's fit at the next smaller count (uniform after
+        a dropped fit); a GlaError on one estimator's first call drops that
+        estimator's trial alone."""
         k, shots, trials, base_seed = 5, [30, 4, 12], 3, 21
         cfg = SyntheticTaskConfig(k=k, dim=3, mean_separation=2.5, seed=8,
                                   pretrain_prior=ProbabilitySimplex.from_weights(np.arange(1.0, k + 1)))
@@ -268,13 +270,17 @@ class TestConvergenceStudy:
         task = make_task(cfg)
         expected = []
         for estimator in ("m1", "m2", "naive"):
+            starts = [None] * trials
             for n in sorted(shots):
                 errors = []
                 for trial in range(trials):
                     data = zero_shot_shots(task, n, seed=base_seed + trial)
                     if estimator == fail_first and n == 4 and trial == 0:
                         continue
-                    est = originals[estimator](data.logits if estimator == "naive" else data)
+                    if estimator == "m1":
+                        est = starts[trial] = originals["m1"](data, start=starts[trial])
+                    else:
+                        est = originals[estimator](data.logits if estimator == "naive" else data)
                     errors.append(l1_distance(est, cfg.pretrain_prior))
                 arr = np.asarray(errors)
                 expected.append((estimator, n, float(arr.mean()), float(arr.std()), len(errors)))

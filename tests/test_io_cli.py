@@ -471,6 +471,26 @@ class TestLogitStreaming:
         assert sum(odd) == exponent_form
         assert line_reads == [], "the blocks declined a file gla wrote"
 
+    def test_exponent_plus_stays_on_blocks(self, tmp_path, monkeypatch):
+        # save_logits writes "e+20" for 1e20: the "+" stays in its field,
+        # which _odd_fields reads, so the blocks keep the file, and every
+        # value is the line reader's
+        rng = np.random.default_rng(4)
+        scores = rng.normal(size=(5000, 10))
+        scores[3000, 3] = 1e20
+        labels = rng.integers(0, 10, 5000)
+        path = str(tmp_path / "t.csv")
+        save_logits(path, LogitTable(scores), labels)
+        assert Path(path).read_bytes().count(b"+") == 1
+        expected, expected_labels = io_formats._line_rows(path)
+        line_reads = []
+        line_rows = io_formats._line_rows
+        monkeypatch.setattr(io_formats, "_line_rows", lambda path: line_reads.append(path) or line_rows(path))
+        loaded = load_logits(path)
+        assert line_reads == [], "the blocks declined an e+ exponent"
+        assert loaded.logits.scores.tobytes() == expected.tobytes() == scores.tobytes()
+        assert np.array_equal(loaded.labels, expected_labels)
+
     def test_fresh_process_page_faults(self, tmp_path):
         # one workspace per save or load: a first 100k x 10 load in a
         # process faults in about the table's pages (2.2k), not each

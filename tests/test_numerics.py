@@ -341,6 +341,9 @@ TYPED_ARGUMENTS = {
     "LabelledLogits.logits": (lambda v: LabelledLogits(v, [0, 1]), "logits", "LogitTable", np.zeros((2, 2))),
     "top1_error.logits": (lambda v: top1_error(v, [0, 1]), "logits", "LogitTable", np.zeros((2, 2))),
     "estimate_prior_m1.validation": (estimate_prior_m1, "validation", "LabelledLogits", _table()),
+    "estimate_prior_m1.start": (
+        lambda v: estimate_prior_m1(_labelled(), start=v), "start", "ProbabilitySimplex", [0.5, 0.5]
+    ),
     "estimate_prior_m2.data": (estimate_prior_m2, "data", "LabelledLogits", _table()),
     "build_transition_matrix.data": (build_transition_matrix, "data", "LabelledLogits", _table()),
     "power_iterate.p": (power_iterate, "p", "TransitionMatrix", np.eye(2)),

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gla.errors import ConvergenceWarning, IdentifiabilityError, InvalidInput, MissingClassError
+from gla.errors import ConvergenceWarning, DimensionError, IdentifiabilityError, InvalidInput, MissingClassError
 from gla.numerics import LOGIT_BLOCK_FIELDS, LabelledLogits, LogitTable, ProbabilitySimplex, l1_distance, softmax_matrix
 from gla import prior_estimation
 from gla.prior_estimation import (
@@ -35,6 +35,23 @@ def m1_gradient_l1(data, q):
     mean = np.exp(debiased - debiased.max(axis=1, keepdims=True))
     mean = (mean / mean.sum(axis=1, keepdims=True)).mean(axis=0)
     return np.abs(mean - np.bincount(data.labels, minlength=data.n_classes) / data.n_examples).sum()
+
+
+def m1_curvature(data, q):
+    """Smallest eigenvalue of Method 1's risk Hessian in u = -log q across
+    the directions that move q (a shift of u along the ones is flat)."""
+    debiased = data.logits.scores - np.log(np.maximum(q.probs, np.finfo(np.float64).tiny))
+    probs = np.exp(debiased - debiased.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    return np.linalg.eigvalsh(np.diag(probs.mean(axis=0)) - probs.T @ probs / data.n_examples)[1]
+
+
+def m1_start_bound(data, a, b):
+    """The l1 distance that two fits stopped at the gradient tolerance may
+    lie apart: their gradients differ by under 2 M1_TOL, so on a risk of
+    curvature at least c between them u differs by under 2 M1_TOL / c, and
+    q by twice that in l1."""
+    return 4 * prior_estimation.M1_TOL / min(m1_curvature(data, a), m1_curvature(data, b))
 
 
 class TestTransitionMatrix:
@@ -332,6 +349,64 @@ class TestEstimatePriorM1:
             dirty = np.full((3, data.n_classes, data.n_examples), np.nan)
             del dirty
             assert estimate_prior_m1(data).probs.tobytes() == first, (k, n)
+
+
+class TestEstimatePriorM1Start:
+    @M1_STALL_IS_ERROR
+    @pytest.mark.parametrize("k", [2, 3, 20, 100])
+    @pytest.mark.parametrize("separation", [2, 4, 8])
+    def test_warm_fits_agree_with_cold_fits(self, monkeypatch, k, separation):
+        # the study's chain: each count's fit starts at the last one's, on
+        # nested prefixes of one draw.  At separation 8 the classes barely
+        # overlap, the risk is nearly flat (curvature down to ~1e-10 at
+        # K=2) and fits anywhere in that valley meet the tolerance; where
+        # it is curved they agree to 1e-9.  A fit started at its own
+        # optimum returns it without a step
+        prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
+        cfg = SyntheticTaskConfig(k=k, dim=k, mean_separation=float(separation), pretrain_prior=prior, seed=k)
+        shots = [10, 40, 160]
+        blocks = zero_shot_shots(make_task(cfg), shots[-1], seed=separation).logits.scores.reshape(k, shots[-1], k)
+        start = None
+        for n in shots:
+            data = LabelledLogits(LogitTable(blocks[:, :n].reshape(k * n, k)), np.repeat(np.arange(k), n))
+            cold = estimate_prior_m1(data)
+            warm = estimate_prior_m1(data, start=start)
+            gap = l1_distance(warm, cold)
+            assert gap <= m1_start_bound(data, warm, cold), n
+            if separation <= 4:
+                assert gap <= 1e-9, n
+            with monkeypatch.context() as patch:
+                patch.setattr(prior_estimation, "M1_MAX_ITERS", 0)
+                assert l1_distance(estimate_prior_m1(data, start=cold), cold) <= 1e-12, n
+            start = warm
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_start_with_zero_entries_converges(self, k):
+        # a zero entry is read as the smallest normal float, so no log of
+        # zero; the class it names starts out predicted for every row
+        prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
+        cfg = SyntheticTaskConfig(k=k, dim=k, mean_separation=8.0, pretrain_prior=prior, seed=k)
+        data = zero_shot_shots(make_task(cfg), 40, seed=1)
+        cold = estimate_prior_m1(data)
+        underflowed = cold.probs.copy()
+        underflowed[np.argsort(underflowed)[: k // 3]] = 0.0
+        one_hot = np.eye(k)[k - 1]
+        for start in (underflowed / underflowed.sum(), one_hot):
+            q = estimate_prior_m1(data, start=ProbabilitySimplex(start))
+            assert m1_gradient_l1(data, q) <= 1e-9
+            assert l1_distance(q, cold) <= m1_start_bound(data, q, cold)
+
+    def test_start_of_another_length_is_named(self):
+        data = LabelledLogits(LogitTable(np.zeros((3, 3))), [0, 1, 2])
+        with pytest.raises(DimensionError, match=r"^start length 2 != K 3$"):
+            estimate_prior_m1(data, start=ProbabilitySimplex.uniform(2))
+
+    def test_no_start_is_the_uniform_start(self):
+        data = zero_shot_shots(make_task(SyntheticTaskConfig(k=5, seed=3)), 30, seed=2)
+        first = estimate_prior_m1(data).probs.tobytes()
+        assert estimate_prior_m1(data, start=None).probs.tobytes() == first
+        assert estimate_prior_m1(data, start=ProbabilitySimplex.uniform(5)).probs.tobytes() == first
 
 
 class TestEstimatePriorNaive:
