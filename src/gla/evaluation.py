@@ -266,6 +266,7 @@ def rule_errors(task_cfg: SyntheticTaskConfig, seed: int) -> dict:
 def loglog_slope(study: ConvergenceStudy) -> float:
     """Least-squares slope of log mean error against log N, for a study of
     one estimator."""
+    check_type(study, ConvergenceStudy, "study")
     if len({r.estimator for r in study.rows}) > 1:
         raise InvalidInput("loglog_slope fits one estimator's rows, got a study of several")
     ns = np.array([r.n for r in study.rows if r.n_ok > 0 and r.mean_l1 > 0])

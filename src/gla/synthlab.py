@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import DimensionError, InvalidInput
 from .numerics import (
     LabelledLogits, LogitTable, ProbabilitySimplex, _freeze, argmax_rows, as_int, as_real, check_type, class_blocks,
-    log_prior,
+    finite_vector, log_prior,
 )
 
 _LABEL_STREAM = 0
@@ -99,10 +99,17 @@ def _view(view) -> int:
     return view
 
 
-def _log_likelihoods_into(x: np.ndarray, means: np.ndarray, half_sq_means: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _log_likelihoods_into(
+    x: np.ndarray, means: np.ndarray, half_sq_means: np.ndarray, scale: float | None, out: np.ndarray
+) -> np.ndarray:
     """Write x·μᵀ - ‖x‖²/2 - ‖μ‖²/2 into the N x K array `out`, in place;
-    `half_sq_means` is ‖μ‖²/2 per class."""
-    np.einsum("nd,kd->nk", x, means, out=out)
+    `half_sq_means` is ‖μ‖²/2 per class, and a `scale` s says that the
+    means are s times the first K standard basis vectors, so x·μᵀ is
+    s·x[:, :K]."""
+    if scale is None:
+        np.einsum("nd,kd->nk", x, means, out=out)
+    else:
+        np.multiply(x[:, :means.shape[0]], scale, out=out)
     half_sq_x = np.einsum("nd,nd->n", x, x)
     half_sq_x /= 2.0
     out -= half_sq_x[:, None]
@@ -110,27 +117,46 @@ def _log_likelihoods_into(x: np.ndarray, means: np.ndarray, half_sq_means: np.nd
     return out
 
 
-def _means(task: SyntheticTask, view: int) -> tuple[np.ndarray, np.ndarray]:
-    """The view's class means, and ‖μ‖²/2 per class."""
+def _means(task: SyntheticTask, view: int) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """The view's class means, ‖μ‖²/2 per class, and the scale s when the
+    means are s times the first K standard basis vectors with s²/2 > 0
+    (None otherwise), decided from the means' values."""
     means = task.means_view1 if view == 1 else task.means_view2
-    return means, np.einsum("kd,kd->k", means, means) / 2.0
+    half_sq_means = np.einsum("kd,kd->k", means, means) / 2.0
+    k, dim = means.shape
+    s = means[0, 0]
+    on_basis = k <= dim and half_sq_means[0] > 0.0 and np.array_equal(means, s * np.eye(k, dim))
+    return means, half_sq_means, (s if on_basis else None)
 
 
 def class_log_likelihoods(task: SyntheticTask, x: np.ndarray, view: int) -> np.ndarray:
     """Exact Gaussian log-densities, one column per class, up to a constant.
 
-    The squared distance is expanded, -‖x - μ‖²/2 = x·μᵀ - ‖x‖²/2 - ‖μ‖²/2,
-    so memory is O(N·K): no N×K×D difference tensor is formed.  All three
-    terms use numpy's own einsum loops rather than BLAS (`x @ means.T`): a
-    BLAS product takes a different kernel for a single row than for a
-    batch, and its last bits then depend on what else is in the batch.
-    Here a row's logits are the same bits whether it is scored alone or
-    with any other rows, which label-shift faithfulness needs, and which
-    lets the sampler score one class block at a time.
+    `x` is an N×dim array of finite numbers.  The squared distance is
+    expanded, -‖x - μ‖²/2 = x·μᵀ - ‖x‖²/2 - ‖μ‖²/2, so memory is O(N·K): no
+    N×K×D difference tensor is formed.  All three terms use numpy's own
+    einsum loops rather than BLAS (`x @ means.T`): a BLAS product takes a
+    different kernel for a single row than for a batch, and its last bits
+    then depend on what else is in the batch.  Here a row's logits are the
+    same bits whether it is scored alone or with any other rows, which
+    label-shift faithfulness needs, and which lets the sampler score one
+    class block at a time.
+
+    When the means are s times the first K standard basis vectors, as
+    `make_task` builds them for dim ≥ K, x·μᵀ is s·x[:, :K], one multiply,
+    and it has the einsum's bits: each einsum entry is one rounded product
+    plus exact zeros, which no summation order or FMA can change.  Only the
+    sign of a zero product can differ (the einsum's sum starts at +0), and
+    subtracting ‖μ‖²/2 erases it when that is positive, so the shortcut
+    needs s²/2 > 0: at separation 0 the means take the einsum, as do all
+    other means.
     """
-    means, half_sq_means = _means(task, _view(view))
-    x = np.asarray(x)
-    return _log_likelihoods_into(x, means, half_sq_means, np.empty((x.shape[0], means.shape[0])))
+    check_type(task, SyntheticTask, "task")
+    means, half_sq_means, scale = _means(task, _view(view))
+    x = finite_vector(x, "x", 2)
+    if x.shape[1] != means.shape[1]:
+        raise DimensionError(f"x width {x.shape[1]} != dim {means.shape[1]}")
+    return _log_likelihoods_into(x, means, half_sq_means, scale, np.empty((x.shape[0], means.shape[0])))
 
 
 def _class_scorer(task: SyntheticTask, seed: int, view: int, prior: ProbabilitySimplex):
@@ -140,7 +166,7 @@ def _class_scorer(task: SyntheticTask, seed: int, view: int, prior: ProbabilityS
     log-likelihoods plus log `prior`.  A row's bits do not depend on the
     other rows scored with it, so they are those of one whole-batch scoring.
     """
-    means, half_sq_means = _means(task, view)
+    means, half_sq_means, scale = _means(task, view)
     shift = log_prior(prior)
     stream = _VIEW_STREAMS[view - 1]
 
@@ -148,7 +174,7 @@ def _class_scorer(task: SyntheticTask, seed: int, view: int, prior: ProbabilityS
         rng_c = np.random.default_rng(np.random.SeedSequence([seed, stream, c]))
         x = rng_c.standard_normal((out.shape[0], task.cfg.dim))
         x += means[c]
-        _log_likelihoods_into(x, means, half_sq_means, out)
+        _log_likelihoods_into(x, means, half_sq_means, scale, out)
         out += shift
         return out
 

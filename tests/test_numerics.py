@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from gla.ensemble import AdjustmentSpec, alpha_mix, debias_zero_shot, gla_combine, logit_adjust, naive_ensemble
 from gla.errors import DimensionError, InvalidInput
 from gla.evaluation import (
-    balanced_error, breakdown_groups, breakdown_report, per_class_accuracy, rule_errors, run_convergence_study,
-    top1_error,
+    balanced_error, breakdown_groups, breakdown_report, loglog_slope, per_class_accuracy, rule_errors,
+    run_convergence_study, top1_error,
 )
 from gla.io_formats import PriorDocument, save_logits, save_prior, save_report, save_study_csv
 from gla.prior_estimation import (
@@ -24,7 +24,8 @@ from gla.prior_estimation import (
     power_iterate,
 )
 from gla.synthlab import (
-    SyntheticTaskConfig, bayes_risk, make_task, sample_batch, sample_shots, single_view_bayes_risk, zero_shot_shots,
+    SyntheticTaskConfig, bayes_risk, class_log_likelihoods, make_task, sample_batch, sample_shots,
+    single_view_bayes_risk, zero_shot_shots,
 )
 from gla.numerics import (
     LOGIT_BLOCK_FIELDS,
@@ -363,10 +364,14 @@ TYPED_ARGUMENTS = {
     "single_view_bayes_risk.task": (
         lambda v: single_view_bayes_risk(v, ProbabilitySimplex.uniform(2), n_mc=10), "task", "SyntheticTask", "task",
     ),
+    "class_log_likelihoods.task": (
+        lambda v: class_log_likelihoods(v, np.zeros((2, 2)), 1), "task", "SyntheticTask", "task",
+    ),
     "run_convergence_study.task_cfg": (
         lambda v: run_convergence_study(v, "m2", [10], 1), "task_cfg", "SyntheticTaskConfig", None,
     ),
     "rule_errors.task_cfg": (lambda v: rule_errors(v, 0), "task_cfg", "SyntheticTaskConfig", {"k": 2}),
+    "loglog_slope.study": (loglog_slope, "study", "ConvergenceStudy", "x"),
     # the check comes before any write: a path in a missing directory is never opened
     "save_logits.table": (
         lambda v: save_logits("no-such-dir/t.csv", v), "table", "LogitTable", np.zeros((2, 2)),

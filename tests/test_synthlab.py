@@ -2,17 +2,20 @@ import hashlib
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gla.ensemble import AdjustmentSpec, alpha_mix
-from gla.errors import InvalidInput
+from gla.errors import DimensionError, InvalidInput
 from gla.evaluation import StudyOptions, rule_errors
 from gla.numerics import LogitTable, ProbabilitySimplex, log_prior, softmax_matrix
 from gla.prior_estimation import m2_error_bound
 from gla.synthlab import (
+    SyntheticTask,
     SyntheticTaskConfig,
+    _means,
     bayes_risk,
     binary_naive_bias,
     class_log_likelihoods,
@@ -282,6 +285,14 @@ class TestSampleBatch:
                 assert np.array_equal(alone, full[i:i + 1]), f"K={k}, row {i}"
 
 
+def _einsum_reference(task, x, view):
+    """The general path's steps for any means: x·μᵀ as one einsum, then
+    ‖x‖²/2 and ‖μ‖²/2 subtracted in that order."""
+    means = task.means_view1 if view == 1 else task.means_view2
+    half_sq_x = np.einsum("nd,nd->n", x, x) / 2.0
+    return np.einsum("nd,kd->nk", x, means) - half_sq_x[:, None] - np.einsum("kd,kd->k", means, means) / 2.0
+
+
 class TestClassLogLikelihoods:
     @pytest.mark.parametrize("k, dim", [(2, 2), (10, 10), (20, 20), (7, 3), (1000, 32)])
     @pytest.mark.parametrize("separation", [0.0, 3.0, 10.0])
@@ -304,6 +315,68 @@ class TestClassLogLikelihoods:
             scale = 1.0 + np.sum(x * x, axis=1)[:, None] + np.sum(means * means, axis=1)
             err = np.abs(class_log_likelihoods(task, x, view=view) - oracle)
             assert np.all(err <= 1e-12 * scale), f"view {view}: worst {np.max(err / scale):.2e}"
+
+    @pytest.mark.parametrize("k, dim", [(4, 4), (20, 20), (3, 6), (20, 32)])
+    @pytest.mark.parametrize("separation", [0.0, 3.0, 10.0])
+    def test_basis_shortcut_is_the_einsum(self, k, dim, separation):
+        # at dim >= K the means are s·e_c, so x·μᵀ is s·x[:, :K], one rounded
+        # product per entry, as in the einsum's sum of that product and exact
+        # zeros.  Rows of zeros, of negative zeros and of squares that
+        # underflow leave a zero product's sign to the subtracted ‖μ‖²/2,
+        # which is why separation 0 takes the einsum.
+        task = make_task(SyntheticTaskConfig(k=k, dim=dim, mean_separation=separation, seed=k))
+        rng = np.random.default_rng(dim)
+        for view, means in ((1, task.means_view1), (2, task.means_view2)):
+            assert _means(task, view)[2] == (None if separation == 0 else separation / np.sqrt(2.0))
+            x = np.vstack([
+                means[rng.integers(k, size=5)],
+                means[rng.integers(k, size=5)] + rng.standard_normal((5, dim)),
+                1e3 * rng.standard_normal((5, dim)),
+                np.zeros((1, dim)),
+                np.full((1, dim), -0.0),
+                np.full((1, dim), -1e-200),
+            ])
+            assert class_log_likelihoods(task, x, view).tobytes() == _einsum_reference(task, x, view).tobytes()
+
+    @pytest.mark.parametrize("case", ["permuted basis", "unequal diagonal", "entries off the basis", "negative scale"])
+    def test_hand_built_means(self, case):
+        # the shortcut is decided from the means' values, not from the config
+        k, dim, s = 4, 6, 3.0 / np.sqrt(2.0)
+        basis = np.eye(k, dim)
+        means = {
+            "permuted basis": s * basis[[1, 0, 2, 3]],
+            "unequal diagonal": basis * np.array([s, s, s, 2 * s])[:, None],
+            "entries off the basis": s * basis + 1e-300 * np.eye(k, dim, 2),
+            "negative scale": -s * basis,
+        }[case]
+        task = SyntheticTask(SyntheticTaskConfig(k=k, dim=dim), means, means)
+        assert _means(task, 1)[2] == (-s if case == "negative scale" else None)
+        rng = np.random.default_rng(5)
+        x = np.vstack([means, means + rng.standard_normal((k, dim)), 1e3 * rng.standard_normal((4, dim))])
+        assert class_log_likelihoods(task, x, 1).tobytes() == _einsum_reference(task, x, 1).tobytes()
+
+    @pytest.mark.parametrize("x, error, message", [
+        ("abc", InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        (np.zeros(3), InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        (np.zeros((0, 3)), InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        ([[np.inf, 0.0, 0.0]], InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        ([[0.0, np.nan, 0.0]], InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        ([[1j, 0.0, 0.0]], InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
+        (np.zeros((2, 2)), DimensionError, "x width 2 != dim 3"),
+        # the shortcut reads only x[:, :K], so a too-wide x would be scored silently
+        (np.zeros((2, 4)), DimensionError, "x width 4 != dim 3"),
+    ], ids=["str", "1-d", "empty", "inf", "nan", "complex", "narrow", "wide"])
+    def test_bad_x_named(self, x, error, message):
+        task = make_task(SyntheticTaskConfig(k=3, dim=3, seed=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{re.escape(message)}$"):
+                class_log_likelihoods(task, x, 1)
+
+    def test_accepts_integer_x(self):
+        task = make_task(SyntheticTaskConfig(k=3, dim=3, seed=1))
+        expected = class_log_likelihoods(task, np.array([[1.0, -2.0, 3.0]]), 2)
+        assert class_log_likelihoods(task, [[1, -2, 3]], 2).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("view", [0, 3, "1", True, False, np.True_, 1.0, 2.0, np.float64(1.0), None])
     def test_rejects_unknown_view(self, view):
@@ -410,6 +483,13 @@ def batch_digest(batch):
     (8, 5, [4, 4, 2, 2, 1, 1, 1, 1],
      "25f6ea6851556294ec113b7437c0e802841907307f16b4578e337c5a309fa5e3",
      "854d69bf1a2c6d4b16acfea09bd4e6aad8753cd3f4b6d13cba901c4fd42da1d1"),
+    # dim >= K: the means are a scaled standard basis, scored by one multiply
+    (4, 4, [4, 2, 1, 1],
+     "056c4a9b12158b394b4f89f716bb0d61fdfc443c19e76537ee53b36f969616fe",
+     "89b19fc892cab0514a1f8e0dc194b0c0ca10c07491956e7da638185bbaca4206"),
+    (3, 6, [2, 1, 1],
+     "234b6256fac1a0af811af680b66cd7276bc31a06285efba770d615745f9306f8",
+     "a61a9f1c2453ccdd28b066b430a75396a9552606b7c864a38b5fb8c5422fb2c5"),
 ])
 def test_sampler_golden_digests(k, dim, weights, batch, shots):
     pre = ProbabilitySimplex.from_weights(weights)
