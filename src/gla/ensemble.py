@@ -17,7 +17,8 @@ from .numerics import LogitTable, _freeze, as_real, check_type, finite_vector, r
 
 def _as_log_prior(vec, name: str) -> np.ndarray:
     arr = finite_vector(vec, name)
-    if abs(float(np.exp(arr).sum()) - 1.0) > 1e-6:
+    # exp(x) >= 1 + x, so an entry past 1e-6 fails the sum anyway; refused first, exp cannot overflow
+    if arr.max() > 1e-6 or abs(float(np.exp(arr).sum()) - 1.0) > 1e-6:
         raise InvalidInput(f"{name} must exponentiate to a probability simplex")
     return _freeze(arr)
 

@@ -4,12 +4,12 @@ once, and back.
 `format_fields` writes a block of values into fixed-width fields, with the
 bytes `format_float` would write for each.  %.17g writes 0 and the
 magnitudes [1e-4, 1e17) in fixed notation (exponent -4 to 16; the float 1e-4
-is just above 10**-4).  For those the kernel finds the 17 significant digits
-N and the exponent E exactly, with IEEE float64 add, multiply and floor and
-int64 arithmetic only: |x| * 10**(16 - E) as an exact double-double
-(Dekker's product; 10**s is exact for s <= 22), rounded half-even.  Every
-other float (subnormals, tiny and huge magnitudes) goes through
-format_float one at a time.
+is just above 10**-4).  For those the kernel finds the exponent E exactly,
+from log10 and two compares with a table, and then the 17 significant
+digits N, with IEEE float64 add, multiply and floor and int64 arithmetic
+only: |x| * 10**(16 - E) as an exact double-double (Dekker's product; 10**s
+is exact for s <= 22), rounded half-even.  Every other float (subnormals,
+tiny and huge magnitudes) goes through format_float one at a time.
 
 `parse_fields` reads a block of decimal fields back, with float()'s
 rounding, from the same Dekker product and uint64 words; it leaves what it
@@ -53,6 +53,10 @@ _E_MIN, _E_MAX = -4, 16
 # 10**s, exact for s <= 22 (the reader's largest scale); 10**23 and 10**24
 # only pad the table for fields the reader rejects
 _POW10 = np.array([float(10**s) for s in range(25)])
+# fl(10**E) for E = _E_MIN .. _E_MAX + 1: 10**E itself for E >= 0, and for
+# E < 0 the first float above it (1e-1 to 1e-4 all round up), so a float
+# a >= _TENS[E - _E_MIN] exactly when a >= 10**E
+_TENS = np.array([float(f"1e{e}") for e in range(_E_MIN, _E_MAX + 2)])
 # "0000" to "9999" as uint32 text, built from the ten digits by broadcasting
 # (a list of 10 000 strings would raise the peak RSS of every `gla` command)
 _DIGITS4 = np.empty((10, 10, 10, 10, 4), np.uint8)
@@ -79,20 +83,23 @@ def _gather(table, index, out):
     return np.take(table, index, out=out, mode="clip")
 
 
-def _times_pow10(a, s, hi, lo, t, p):
-    """a * 10**s as hi + lo exactly, into `hi` and `lo`, hi the rounded
-    product (Dekker's product: lo sums the error of hi from the four
-    partial products of the halves, each step exact).  Overwrites `a`, and
-    `t` and `p`, its scratch."""
-    np.multiply(a, _gather(_POW10, s, p), out=hi)
-    _split(a, t, p)
-    np.multiply(t, _gather(_POW10_HI, s, p), out=lo)
+def _times_pow10(a, p10, s, hi, lo, a_hi, p_hi, p_lo):
+    """a * 10**s as hi + lo exactly, into `hi` and `lo`, for p10 = 10**s
+    (gathered by the caller), hi the rounded product (Dekker's product: lo
+    sums the error of hi from the four partial products of the halves, each
+    step exact).  Overwrites `a`, and `a_hi`, `p_hi` and `p_lo`, which get
+    the halves."""
+    np.multiply(a, p10, out=hi)
+    _split(a, a_hi, lo)
+    _gather(_POW10_HI, s, p_hi)
+    _gather(_POW10_LO, s, p_lo)
+    np.multiply(a_hi, p_hi, out=lo)
     lo -= hi
-    t *= _gather(_POW10_LO, s, p)
-    lo += t
-    np.multiply(a, _gather(_POW10_HI, s, p), out=t)
-    lo += t
-    a *= _gather(_POW10_LO, s, p)
+    a_hi *= p_lo
+    lo += a_hi
+    p_hi *= a
+    lo += p_hi
+    a *= p_lo
     lo += a
 
 
@@ -126,10 +133,10 @@ def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace) -> None:
     """Write _FLOAT_FMT % v of each finite float64 v in `values` into its
     row of `out`, an (N, 4) uint64 array: the text's bytes in order, with
     NUL bytes between and after them, and byte 31 left NUL.  The
-    block-sized arrays (eight of 8-byte words and two of flags) are
+    block-sized arrays (nine of 8-byte words and two of flags) are
     `work`'s."""
     n = values.size
-    a, f, hi, lo, t, p = work("format floats", 6, n)
+    a, f, hi, lo, t, p, q = work("format floats", 7, n)
     e, s = work("format ints", 2, n, np.int64)
     mask, other = work("format flags", 2, n, bool)
     np.abs(values, out=a)
@@ -144,20 +151,12 @@ def format_fields(values: np.ndarray, out: np.ndarray, work: Workspace) -> None:
     np.floor(f, out=f)
     np.clip(f, _E_MIN, _E_MAX, out=f)
     np.copyto(e, f, casting="unsafe")
+    # log10 is within one of E: move E to 10**E <= a < 10**(E + 1)
+    np.subtract(e, _E_MIN, out=s)
+    e += np.greater_equal(a, _gather(_TENS[1:], s, hi), out=mask)
+    e -= np.less(a, _gather(_TENS, s, hi), out=mask)
     np.subtract(_E_MAX, e, out=s)
-    _times_pow10(a, s, hi, lo, t, p)
-    # log10 is not exact: step E until 10**16 <= hi + lo < 10**17
-    np.less_equal(hi, 1e16, out=mask)
-    mask |= np.greater_equal(hi, 1e17, out=other)
-    edge = np.flatnonzero(mask)
-    while edge.size:
-        h, l = hi[edge], lo[edge]
-        step = ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64) - ((h < 1e16) | ((h == 1e16) & (l < 0)))
-        edge = edge[step != 0]
-        e[edge] += step[step != 0]
-        parts = np.empty((4, edge.size))
-        _times_pow10(np.abs(values[edge]), _E_MAX - e[edge], *parts)
-        hi[edge], lo[edge] = parts[:2]
+    _times_pow10(a, _gather(_POW10, s, f), s, hi, lo, t, p, q)
     # hi >= 2**53 is an even integer, so hi + lo rounds half-even to hi + rint(lo)
     n17, rest = a.view(np.int64), s
     np.copyto(n17, hi, casting="unsafe")
@@ -298,14 +297,15 @@ def _quotients(whole, fraction, q, scratch, flags):
 
     10**f is exact, so for N < 2**53 the quotient of fl(N) rounds once
     (Clinger's fast path).  Otherwise q = fl(fl(N) / 10**f) lies within 1.5
-    ulps of N / 10**f.  The residual N - q * 10**f is formed from Dekker's
-    product (q with two 26-bit halves, 10**f exact with its own), fl(N) - hi
-    exactly (Sterbenz) and the exact N - fl(N), so only its last two
-    roundings are inexact, far below _TIE_MARGIN.  In gaps from q to its
-    neighbour on the residual's side (an ulp, half that below a power of
-    two), a residual below 1/2 keeps q, and one from 1/2 to 3/2 moves q to
-    that neighbour, unless past it onto a power of two below, where the
-    gaps halve; any other, and one near 1/2 or 3/2, is left undecided."""
+    ulps of N / 10**f.  The residual N - q * 10**f is formed from the
+    writer's Dekker product, _times_pow10 (q with two 26-bit halves, 10**f
+    exact with its own), fl(N) - hi exactly (Sterbenz) and the exact
+    N - fl(N), so only its last two roundings are inexact, far below
+    _TIE_MARGIN.  In gaps from q to its neighbour on the residual's side (an
+    ulp, half that below a power of two), a residual below 1/2 keeps q, and
+    one from 1/2 to 3/2 moves q to that neighbour, unless past it onto a
+    power of two below, where the gaps halve; any other, and one near 1/2 or
+    3/2, is left undecided."""
     n_hi, p10, hi, lo, q_hi, q_lo, p_hi, p_lo, n_lo = scratch
     n_lo = n_lo.view(np.int64)
     below, large, move, decided, mask = flags
@@ -313,19 +313,8 @@ def _quotients(whole, fraction, q, scratch, flags):
     np.copyto(n_lo, n_hi, casting="unsafe")
     np.subtract(whole, n_lo, out=n_lo)
     np.divide(n_hi, _gather(_POW10, fraction, p10), out=q)
-    np.multiply(q, p10, out=hi)
     np.copyto(q_lo, q)
-    _split(q_lo, q_hi, lo)
-    _gather(_POW10_HI, fraction, p_hi)
-    _gather(_POW10_LO, fraction, p_lo)
-    np.multiply(q_hi, p_hi, out=lo)
-    lo -= hi
-    q_hi *= p_lo
-    lo += q_hi
-    p_hi *= q_lo
-    lo += p_hi
-    q_lo *= p_lo
-    lo += q_lo
+    _times_pow10(q_lo, p10, fraction, hi, lo, q_hi, p_hi, p_lo)
     n_hi -= hi
     residual = q_hi
     np.copyto(residual, n_lo, casting="unsafe")

@@ -11,7 +11,6 @@ import array
 import json
 import math
 import os
-import re
 import warnings
 from dataclasses import dataclass, fields as dc_fields
 from typing import TYPE_CHECKING
@@ -252,11 +251,8 @@ def _line_rows(path: str) -> tuple[np.ndarray, np.ndarray]:
             scores = np.loadtxt(_checked_rows(fh, k, labels), delimiter=",", comments=None, ndmin=2)
         except UnicodeDecodeError:  # a ValueError too: a bad byte read mid-stream
             raise
-        except ValueError as exc:
-            where = re.search(r"at row (\d+)", str(exc))
-            if where is None:
-                raise ParseError(f"bad field: {exc}") from None
-            raise ParseError("bad numeric field", line=int(where[1]) + 2) from None
+        except ValueError:  # loadtxt converts each line as it pulls it: the last one pulled
+            raise ParseError("bad numeric field", line=len(labels) + 1) from None
     return scores, np.frombuffer(labels)
 
 
@@ -359,17 +355,19 @@ def _json_object(value, keys, error: type[GlaError], name: str = "") -> dict:
 
 
 def _probability_vector(value, name: str, error: type[GlaError]) -> ProbabilitySimplex:
-    """A JSON list of numbers or numeric strings, no bools, summing to 1
-    within 1e-6.  Only a sum ProbabilitySimplex would reject is
-    renormalized, so priors written by save_prior load back bit for bit."""
+    """A JSON list of numbers or numeric strings, no bools, each in
+    [0, 1 + 1e-6] and summing to 1 within 1e-6.  Only a sum
+    ProbabilitySimplex would reject is renormalized, so priors written by
+    save_prior load back bit for bit."""
     try:
         if not isinstance(value, list) or any(isinstance(x, bool) for x in value):
             raise TypeError
         probs = np.array([float(x) for x in value])
     except (TypeError, ValueError, OverflowError):
         raise error(f"{name} must be a list of numbers, got {value!r}") from None
-    total = float(probs.sum())
-    if not (np.all(probs >= 0) and abs(total - 1.0) <= 1e-6):
+    # an entry past 1 + 1e-6 fails the sum anyway; refused first, it cannot overflow it
+    total = float(probs.sum()) if np.all((probs >= 0) & (probs <= 1 + 1e-6)) else math.nan
+    if not abs(total - 1.0) <= 1e-6:
         raise error(f"{name} is not a finite probability simplex (tolerance 1e-6)")
     return ProbabilitySimplex(probs / total if abs(total - 1.0) > SIMPLEX_ATOL else probs)
 

@@ -56,9 +56,21 @@ class SyntheticTaskConfig:
 
 @dataclass(frozen=True, eq=False)
 class SyntheticTask:
+    """A task's config and the class means of its two views, each read as a
+    K×dim matrix of finite numbers and kept as a read-only copy."""
+
     cfg: SyntheticTaskConfig
     means_view1: np.ndarray
     means_view2: np.ndarray
+
+    def __post_init__(self):
+        check_type(self.cfg, SyntheticTaskConfig, "cfg")
+        shape = (self.cfg.k, self.cfg.dim)
+        for name in ("means_view1", "means_view2"):
+            means = finite_vector(getattr(self, name), name, 2)
+            if means.shape != shape:
+                raise DimensionError(f"{name} shape {means.shape} != (k, dim) {shape}")
+            object.__setattr__(self, name, _freeze(means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +101,7 @@ def make_task(cfg: SyntheticTaskConfig) -> SyntheticTask:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7]))
     m1 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
     m2 = _class_means(cfg.k, cfg.dim, cfg.mean_separation, rng)
-    return SyntheticTask(cfg, _freeze(m1), _freeze(m2))
+    return SyntheticTask(cfg, m1, m2)
 
 
 def _view(view) -> int:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,8 +34,12 @@ def rng_tables():
 
 class TestAdjustmentSpec:
     def test_rejects_non_simplex_exponential(self):
-        with pytest.raises(InvalidInput):
-            AdjustmentSpec(pi_s=np.array([0.0, 0.0]), pi_p=log_vec(0.5, 0.5))
+        # an entry whose exp overflows is refused before it, with no RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pi_s in ([0.0, 0.0], [1000.0, 0.0], [1e308, -1e308]):
+                with pytest.raises(InvalidInput, match="^pi_s must exponentiate to a probability simplex$"):
+                    AdjustmentSpec(pi_s=np.array(pi_s), pi_p=log_vec(0.5, 0.5))
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(DimensionError):

@@ -172,13 +172,18 @@ class TestLogitFiles:
             load_logits(p)
 
     def test_error_without_row_is_parse_error(self, tmp_path, monkeypatch):
-        def no_row(*args, **kwargs):
+        """The line of a number loadtxt rejects is the last line it pulled,
+        whatever its message says."""
+        def no_row(lines, *args, **kwargs):
+            for _ in zip(range(2), lines):  # pulls two lines at most
+                pass
             raise ValueError("could not convert string 'x' to float64")
 
         monkeypatch.setattr(np, "loadtxt", no_row)
-        p = write(tmp_path / "t.csv", "label,c0,c1\n0,x,2\n")
-        with pytest.raises(ParseError):
+        p = write(tmp_path / "t.csv", "label,c0,c1\n0,1,2\n0,x,2\n0,3,4\n")
+        with pytest.raises(ParseError, match="^line 3: bad numeric field$") as info:
             load_logits(p)
+        assert info.value.line == 3
 
 
 def row_by_row_csv(scores, labels):
@@ -377,6 +382,17 @@ class TestLogitStreaming:
             warnings.simplefilter("error")
             text = kernel_text(values)
         assert text == "".join("%.17g\n" % x for x in values.tolist()).encode()
+
+    @pytest.mark.parametrize("offset", [-0.99, 0.99])
+    def test_kernel_needs_log10_within_one(self, monkeypatch, offset):
+        # the exponent is settled by two compares with a table of powers of
+        # ten, so a log10 off by less than one either way (another libm's)
+        # gives the same bytes
+        rng = np.random.default_rng(21)
+        values = np.concatenate([TARGETED, rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-6, 19, 20_000)])
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a, out: np.add(log10(a, out=out), offset, out=out))
+        assert kernel_text(values) == "".join("%.17g\n" % x for x in values.tolist()).encode()
 
     def test_kernel_counts_trailing_zeros(self):
         # values whose 17 digits end in 0 to 16 zeros: the first 1 to 16
@@ -707,11 +723,16 @@ class TestPriorFiles:
             path = write(tmp_path / "p.json", json.dumps({"k": 2, "probs": probs}))
             assert load_prior(path).prior.probs.tolist() == [float(x) for x in probs]
 
-    @pytest.mark.parametrize("probs", ['[NaN, 1.0]', '[Infinity, 1.0]', '[0.5, -Infinity]', '["nan", "1"]'])
+    # entries whose sum overflows are refused before it, with no RuntimeWarning
+    @pytest.mark.parametrize("probs", [
+        '[NaN, 1.0]', '[Infinity, 1.0]', '[0.5, -Infinity]', '["nan", "1"]', '[1e308, 1e308]', '["1e308", "1e308"]',
+    ])
     def test_rejects_non_finite_probs(self, tmp_path, probs):
         path = write(tmp_path / "p.json", f'{{"k": 2, "probs": {probs}}}')
-        with pytest.raises(ParseError, match="probs is not a finite probability simplex"):
-            load_prior(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParseError, match="probs is not a finite probability simplex"):
+                load_prior(path)
 
     def test_rejects_unknown_key(self, tmp_path):
         path = write(

@@ -355,6 +355,29 @@ class TestClassLogLikelihoods:
         x = np.vstack([means, means + rng.standard_normal((k, dim)), 1e3 * rng.standard_normal((4, dim))])
         assert class_log_likelihoods(task, x, 1).tobytes() == _einsum_reference(task, x, 1).tobytes()
 
+    @pytest.mark.parametrize("view1, view2, error, message", [
+        (np.eye(4, 5), np.eye(4, 5), DimensionError, r"means_view1 shape \(4, 5\) != \(k, dim\) \(4, 6\)"),
+        (np.eye(3, 6), np.eye(3, 6), DimensionError, r"means_view1 shape \(3, 6\) != \(k, dim\) \(4, 6\)"),
+        (np.eye(4, 6), np.eye(6, 4), DimensionError, r"means_view2 shape \(6, 4\) != \(k, dim\) \(4, 6\)"),
+        (np.full((4, 6), np.nan), np.eye(4, 6), InvalidInput, "means_view1 must be a non-empty 2-d matrix of finite numbers"),
+        (np.eye(4, 6), np.zeros(6), InvalidInput, "means_view2 must be a non-empty 2-d matrix of finite numbers"),
+        ("abc", np.eye(4, 6), InvalidInput, "means_view1 must be a non-empty 2-d matrix of finite numbers"),
+    ], ids=["narrow", "short", "transposed", "nan", "1-d", "str"])
+    def test_bad_means_named(self, view1, view2, error, message):
+        # a draw from such a task failed with numpy's bare broadcast error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match=f"^{message}$"):
+                sample_shots(SyntheticTask(SyntheticTaskConfig(k=4, dim=6), view1, view2), 3, 0)
+
+    def test_task_checks_cfg_and_keeps_a_frozen_copy(self):
+        with pytest.raises(InvalidInput, match="^cfg must be a SyntheticTaskConfig, got dict$"):
+            SyntheticTask({"k": 4, "dim": 6}, np.eye(4, 6), np.eye(4, 6))
+        means = [[1, 0, 0], [0, 1, 0]]
+        task = SyntheticTask(SyntheticTaskConfig(k=2, dim=3), means, np.array(means, np.float64))
+        for view in (task.means_view1, task.means_view2):
+            assert view.dtype == np.float64 and not view.flags.writeable and view.tolist() == means
+
     @pytest.mark.parametrize("x, error, message", [
         ("abc", InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
         (np.zeros(3), InvalidInput, "x must be a non-empty 2-d matrix of finite numbers"),
