@@ -51,7 +51,13 @@ def _subtract(table: LogitTable, table_name: str, vec, name: str) -> LogitTable:
     arr = finite_vector(vec, name)
     if arr.size != table.n_classes:
         raise DimensionError(f"{name} length {arr.size} != K {table.n_classes}")
-    return LogitTable(table.scores - arr)
+    # both are finite, so only an overflow leaves the difference non-finite
+    with np.errstate(over="ignore"):
+        out = table.scores - arr
+    try:
+        return LogitTable(out)
+    except InvalidInput:
+        raise InvalidInput(f"{table_name} - {name} overflows float64") from None
 
 
 def _check_pair(ft: LogitTable, zs: LogitTable) -> None:

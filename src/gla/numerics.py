@@ -102,8 +102,10 @@ class ProbabilitySimplex:
         arr = finite_vector(self.probs, "simplex")
         if np.any(arr < 0.0):
             raise InvalidInput("simplex entries must be nonnegative")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_ATOL:
-            raise InvalidInput(f"simplex entries sum to {arr.sum()!r}, not 1")
+        with np.errstate(over="ignore"):  # entries near 1e308 sum to inf, refused here
+            total = arr.sum()
+        if abs(float(total) - 1.0) > SIMPLEX_ATOL:
+            raise InvalidInput(f"simplex entries sum to {total!r}, not 1")
         object.__setattr__(self, "probs", _freeze(arr))
 
     @property
@@ -116,11 +118,16 @@ class ProbabilitySimplex:
 
     @classmethod
     def from_weights(cls, weights) -> "ProbabilitySimplex":
-        """Normalize a vector of nonnegative weights into a simplex."""
+        """Normalize a vector of nonnegative weights into a simplex.  Weights
+        whose sum overflows are first divided by the largest one."""
         arr = finite_vector(weights, "weights")
         if np.any(arr < 0.0):
             raise InvalidInput("weights must be nonnegative")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):
+            total = float(arr.sum())
+        if total == math.inf:
+            arr = arr / arr.max()
+            total = float(arr.sum())
         if total <= 0.0:
             raise InvalidInput("weights must have positive sum")
         return cls(arr / total)
@@ -216,7 +223,10 @@ def softmax_row(v) -> ProbabilitySimplex:
     adding a constant to every entry.
     """
     arr = finite_vector(v, "v")
-    return ProbabilitySimplex(softmax_matrix(arr[None, :])[0])
+    # an entry more than the float range below the top overflows to -inf
+    # when shifted, and its exp is the 0 it would round to anyway
+    with np.errstate(over="ignore"):
+        return ProbabilitySimplex(softmax_matrix(arr[None, :])[0])
 
 
 def log_prior(p: ProbabilitySimplex) -> np.ndarray:
@@ -253,10 +263,17 @@ def project_to_simplex(v) -> ProbabilitySimplex:
     arr = finite_vector(v, "v")
     u = np.sort(arr)[::-1]
     css = np.cumsum(u) - 1.0
-    rho_candidates = u - css / np.arange(1, arr.size + 1) > 0.0
-    rho = int(np.nonzero(rho_candidates)[0][-1])
-    theta = css[rho] / (rho + 1)
-    out = np.maximum(arr - theta, 0.0)
+    passing = np.flatnonzero(u - css / np.arange(1, arr.size + 1) > 0.0)
+    if passing.size:
+        rho = int(passing[-1])
+        out = np.maximum(arr - css[rho] / (rho + 1), 0.0)
+    else:
+        # rho = 0, which the largest entry passes in exact arithmetic; past
+        # about 2**53 u[0] - 1 rounds back to u[0], so theta = u[0] - 1 is
+        # applied as arr - u[0] + 1, exact at the largest entry (an entry
+        # past the float range below it overflows to -inf, and gets 0)
+        with np.errstate(over="ignore"):
+            out = np.maximum(arr - u[0] + 1.0, 0.0)
     return ProbabilitySimplex(out / out.sum())
 
 

@@ -125,6 +125,9 @@ def estimate_prior_m2(data: LabelledLogits) -> ProbabilitySimplex:
 # or after M1_MAX_ITERS steps.
 M1_TOL = 1e-10
 M1_MAX_ITERS = 50
+# A trial point u whose spread max(u) - min(u) is at most M1_SPREAD is scored
+# from the fit's table of exponentials; a wider one is shifted per example.
+M1_SPREAD = 600.0
 
 
 def estimate_prior_m1(validation: LabelledLogits, *, start: ProbabilitySimplex | None = None) -> ProbabilitySimplex:
@@ -152,9 +155,19 @@ def estimate_prior_m1(validation: LabelledLogits, *, start: ProbabilitySimplex |
     Stops when the l1 gradient norm falls below M1_TOL, after M1_MAX_ITERS
     steps, or when neither direction decreases the risk.  Non-convergence is
     not an exception: the last iterate is returned, with a ConvergenceWarning
-    naming the step count and the gradient norm.  Each trial point is scored
-    by one exponential pass, which leaves its normalized posteriors behind:
-    the next step reads its gradient and Hessian from the accepted trial's.
+    naming the step count and the gradient norm.
+
+    The fit forms the table E = exp(s - m) once, m_i the top score of
+    example i.  Since exp(s_ij + u_j - m_i - c) = E_ij exp(u_j - c), with
+    c = max u, each trial point is scored by one multiply of E by exp(u - c),
+    the class sum and the divide, which leave its normalized posteriors
+    behind: the next step reads its gradient and Hessian from the accepted
+    trial's.  Each row's largest term is then at least exp(min u - c), so
+    a trial point whose spread max u - min u exceeds M1_SPREAD is instead
+    shifted by each example's own top, from the scores: where the spread
+    stays within it, the terms the table loses to underflow are below
+    e^(M1_SPREAD - 708) of their row's total.  A start with a zero entry
+    spreads about 708.
     """
     k = check_type(validation, LabelledLogits, "validation").n_classes
     if start is None:
@@ -168,28 +181,43 @@ def estimate_prior_m1(validation: LabelledLogits, *, start: ProbabilitySimplex |
     labels = validation.labels
     n = labels.size
     freq = class_counts(labels, k) / n
-    # The fit's only K x N arrays: the scores class-major (K x N, so a
+    # The fit's only K x N arrays: the exponentials class-major (K x N, so a
     # reduction over classes is K vector passes, not N short ones), the
     # current posteriors and a line search's trial.  They are one allocation
     # because glibc raises its dynamic mmap and trim thresholds to the size
     # of a freed mapping: one block of three tables then stays in the heap
     # between fits, while three separate tables would be trimmed after each
     # fit and page-faulted in again by the next.
-    scores, current, trial_buf = np.empty((3, k, n))
-    np.copyto(scores, validation.logits.scores.T)
+    table, current, trial_buf = np.empty((3, k, n))
+    scores = validation.logits.scores.T
+    np.copyto(table, scores)
+    top_score = table.max(axis=0)
+    table -= top_score
     # flat index of each example's label score in a K x N array
     picks = labels * n + np.arange(n)
+    label_gap = np.mean(np.take(table, picks))  # mean of s_iy - m_i
+    np.exp(table, out=table)
 
     def risk(u, probs):
         """The risk at u, and each example's log-normalizer; the normalized
         posteriors are left in `probs`."""
-        np.add(scores, u[:, None], out=probs)
-        top = probs.max(axis=0)
-        probs -= top
-        picked = np.take(probs, picks)
-        total = np.exp(probs, out=probs).sum(axis=0)
-        log_total = np.log(total)
-        value = float(np.mean(log_total - picked))
+        c = u.max()
+        if c - u.min() <= M1_SPREAD:
+            np.multiply(table, np.exp(u - c)[:, None], out=probs)
+            total = probs.sum(axis=0)
+            log_total = np.log(total)
+            # each example's risk is log_total - (s_iy - m_i) - (u_y - c),
+            # so the label terms average label_gap - sum_j freq_j (c - u_j)
+            value = float(np.mean(log_total)) - label_gap + float((freq * (c - u)).sum())
+            top = top_score + c
+        else:
+            np.add(scores, u[:, None], out=probs)
+            top = probs.max(axis=0)
+            probs -= top
+            picked = np.take(probs, picks)
+            total = np.exp(probs, out=probs).sum(axis=0)
+            log_total = np.log(total)
+            value = float(np.mean(log_total - picked))
         if not math.isfinite(value):
             raise OptimizationError(f"non-finite risk {value!r} during optimization")
         probs /= total

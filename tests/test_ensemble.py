@@ -108,6 +108,12 @@ class TestDebiasZeroShot:
         with pytest.raises(DimensionError):
             debias_zero_shot(zs, log_vec(0.5, 0.5))
 
+    def test_overflow_named_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^zs - pi_p overflows float64$"):
+                debias_zero_shot(LogitTable([[1e308, 0.0]]), [-1e308, 0.0])
+
 
 class TestLogitAdjust:
     def test_uniform_keeps_argmax(self, rng_tables):

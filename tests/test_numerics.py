@@ -180,6 +180,19 @@ class TestProbabilitySimplex:
     def test_uniform(self):
         assert np.allclose(ProbabilitySimplex.uniform(4).probs, 0.25)
 
+    def test_overflowing_sum_named_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInput, match=r"^simplex entries sum to np\.float64\(inf\), not 1$"):
+                ProbabilitySimplex([1e308, 1e308])
+
+    def test_weights_with_overflowing_sum(self):
+        # rescaled by the largest weight only when the plain sum overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ProbabilitySimplex.from_weights([1e308, 1e308]).probs.tolist() == [0.5, 0.5]
+            assert ProbabilitySimplex.from_weights([1e308, 5e307, 1e308]).probs.tolist() == [0.4, 0.2, 0.4]
+
     def test_immutable(self):
         s = ProbabilitySimplex([0.5, 0.5])
         with pytest.raises(ValueError):
@@ -250,6 +263,11 @@ class TestSoftmaxRow:
         p = softmax_row([1000.0, 0.0]).probs
         assert p[0] == pytest.approx(1.0)
         assert p[1] < 1e-300
+
+    def test_span_past_float_range_is_silent(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert softmax_row([1e308, -1e308]).probs.tolist() == [1.0, 0.0]
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidInput):
@@ -505,6 +523,12 @@ class TestProjectToSimplex:
         best = grid[np.argmin(dists)]
         assert best == pytest.approx(1.0)
         assert np.allclose(project_to_simplex(v).probs, [1.0, 0.0])
+
+    @pytest.mark.parametrize("v, expected", [([1e16, 0.0], [1.0, 0.0]), ([9.1e15, 0.0, -3.0], [1.0, 0.0, 0.0])])
+    def test_huge_entries(self, v, expected):
+        # past about 2**53, u[0] - 1 rounds back to u[0] and no sorted
+        # entry passes the float test that the largest passes exactly
+        assert project_to_simplex(v).probs.tolist() == expected
 
     @given(finite_vectors)
     def test_idempotent(self, v):

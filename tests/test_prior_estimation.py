@@ -397,6 +397,42 @@ class TestEstimatePriorM1Start:
             assert m1_gradient_l1(data, q) <= 1e-9
             assert l1_distance(q, cold) <= m1_start_bound(data, q, cold)
 
+    @M1_STALL_IS_ERROR
+    @pytest.mark.parametrize("k", [3, 20, 100])
+    @pytest.mark.parametrize("separation", [2, 4])
+    def test_table_fits_agree_with_shifted_fits(self, monkeypatch, k, separation):
+        # M1_SPREAD = -1 sends every trial point to the per-example shift, so
+        # the two fits differ only in how each trial point is scored
+        prior = ProbabilitySimplex.from_weights(np.arange(1, k + 1, dtype=float))
+        cfg = SyntheticTaskConfig(k=k, dim=k, mean_separation=float(separation), pretrain_prior=prior, seed=k)
+        data = zero_shot_shots(make_task(cfg), 40, seed=separation)
+        table = estimate_prior_m1(data)
+        monkeypatch.setattr(prior_estimation, "M1_SPREAD", -1.0)
+        shifted = estimate_prior_m1(data)
+        assert l1_distance(table, shifted) <= m1_start_bound(data, table, shifted)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", [3, 20])
+    @pytest.mark.parametrize("gap", [640.0, 690.0])
+    def test_wide_spread_is_shifted_per_example(self, monkeypatch, k, gap):
+        # class 0 scores `gap` below the others on every row, so the optimum
+        # spreads u by about `gap` and a start with class 0 at zero by 708:
+        # every trial point is past M1_SPREAD, and the fit is bit for bit
+        # the one that shifts every trial point by each example's top
+        rng = np.random.default_rng(k)
+        labels = np.repeat(np.arange(k), 50)
+        scores = rng.normal(size=(labels.size, k))
+        scores[np.arange(labels.size), labels] += 2.0
+        scores[:, 0] -= gap
+        data = LabelledLogits(LogitTable(scores), labels)
+        start = np.full(k, 1.0 / (k - 1))
+        start[0] = 0.0
+        start = ProbabilitySimplex(start)
+        q = estimate_prior_m1(data, start=start)
+        assert m1_gradient_l1(data, q) <= 1e-9
+        monkeypatch.setattr(prior_estimation, "M1_SPREAD", -1.0)
+        assert estimate_prior_m1(data, start=start).probs.tobytes() == q.probs.tobytes()
+
     def test_start_of_another_length_is_named(self):
         data = LabelledLogits(LogitTable(np.zeros((3, 3))), [0, 1, 2])
         with pytest.raises(DimensionError, match=r"^start length 2 != K 3$"):
